@@ -23,13 +23,17 @@ from .errors import (
 from .hives import build_hive_polytope, homogenize
 from .polyfile import polytope_to_text, write_polytope_file
 from .polyhedra import HRepPolytope
-from .weights import make_triple, parse_weight
+from .weights import make_triple, parse_parts, parse_weight
+
+
+def _weights_from_args(args):
+    if args.lam is None or args.mu is None or args.nu is None:
+        raise WeightError("--lambda, --mu, and --nu are all required")
+    return parse_weight(args.lam), parse_weight(args.mu), parse_weight(args.nu)
 
 
 def _triple_from_args(args):
-    if args.lam is None or args.mu is None or args.nu is None:
-        raise WeightError("--lambda, --mu, and --nu are all required")
-    return make_triple(parse_weight(args.lam), parse_weight(args.mu), parse_weight(args.nu))
+    return make_triple(*_weights_from_args(args))
 
 
 def _triples_from_file(path):
@@ -112,7 +116,7 @@ def cmd_kostka(args):
     if args.lam is None or args.mu is None:
         raise WeightError("--lambda and --mu are required")
     lam = parse_weight(args.lam)
-    mu = tuple(int(t) for t in args.mu.split(","))
+    mu = parse_parts(args.mu)
     started = time.perf_counter()
     value = klimyk.kostka(lam, mu, via=args.via, cap=args.cap)
     if args.json:
@@ -193,7 +197,10 @@ def cmd_triangulate(args):
 
 
 def cmd_export(args):
-    triple = _triple_from_args(args)
+    # The exported system's shape depends on the rank, so the listed length
+    # sets it here; no count depends on it.
+    weights = _weights_from_args(args)
+    triple = make_triple(*weights, rank=max(len(w) for w in weights))
     started = time.perf_counter()
     system = build_hive_polytope(triple)
     if args.homogenized:

@@ -22,10 +22,6 @@ def mat_vec(rows, x):
     return [dot(r, x) for r in rows]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -132,48 +128,6 @@ def solve_square(rows, b):
                 f = m[i][k]
                 m[i] = [v - f * w for v, w in zip(m[i], m[k])]
     return [m[i][n] for i in range(n)]
-
-
-def solve_affine(rows, b):
-    """Rational solution set of A x = b: (particular, kernel basis) or None.
-
-    The kernel basis spans the rational nullspace; it is not adjusted to any
-    lattice (see hermite_solve for the integral version).
-    """
-    if not rows:
-        raise ValueError("need at least ambient dimension; pass rows=[[0]*d] instead")
-    n_cols = len(rows[0])
-    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(rows, b)]
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][n_cols] != 0:
-            return None
-    particular = [Fraction(0)] * n_cols
-    for row_i, col in enumerate(pivots):
-        particular[col] = m[row_i][n_cols]
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for row_i, col in enumerate(pivots):
-            v[col] = -m[row_i][fc]
-        basis.append(v)
-    return particular, basis
 
 
 def hermite_solve(rows, b):

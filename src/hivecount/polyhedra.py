@@ -12,7 +12,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InfeasibleLatticeError
-from .linalg import dot, hermite_solve, kernel_line, primitive, vec_gcd
+from .linalg import adjugate, dot, hermite_solve, kernel_line, primitive, rank, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -286,64 +286,71 @@ def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
 
 
 def enumerate_vertices(rows, rhs, dim):
-    """All vertices of {x : rows x <= rhs} by depth-first search over row subsets.
+    """All vertices of {x : rows x <= rhs} by the double description method.
 
-    Takes every maximal-rank subset of dim rows, solving the pinned equality
-    system by incremental fraction-free elimination, and keeps the solutions
-    that satisfy the whole system.  The polyhedron need not be bounded; what
-    comes back is its set of extreme points, as tuples of Fraction.
+    The polyhedron is homogenized to the cone {(x, t) : a x - b t <= 0, t >= 0},
+    whose extreme rays with t > 0 are the multiples of (v, 1) for the vertices
+    v.  The rays of the simplicial cone cut out by dim + 1 independent rows
+    come from one adjugate; the other rows are then added one at a time,
+    keeping the rays on their side and joining each adjacent pair of rays
+    across them.  Rays are primitive int vectors, each with the bitmask of
+    the rows it is tight on; two rays are adjacent when they share at least
+    dim - 1 tight rows and no third ray is tight on all of those (Fukuda and
+    Prodon, "Double description method revisited", 1996).
+
+    The polyhedron need not be bounded; what comes back is its set of extreme
+    points, sorted, as tuples of Fraction, and [] when it has none.
     """
-    n = len(rows)
     if dim == 0:
-        ok = all(b >= 0 for b in rhs)
-        return [()] if ok else []
-    verts = {}
-    echelon = []  # (pivot column, reduced integer row, reduced rhs)
-
-    def reduce_row(a, b):
-        a = list(a)
-        for pc, er, eb in echelon:
-            if a[pc]:
-                p, q = er[pc], a[pc]
-                a = [p * x - q * y for x, y in zip(a, er)]
-                b = p * b - q * eb
-                g = vec_gcd(a + [b])
-                if g > 1:
-                    a = [x // g for x in a]
-                    b = b // g
-        return a, b
-
-    def solve_leaf():
-        x = [Fraction(0)] * dim
-        for pc, er, eb in reversed(echelon):
-            acc = Fraction(eb)
-            for j in range(dim):
-                if j != pc and er[j]:
-                    acc -= er[j] * x[j]
-            x[pc] = acc / er[pc]
-        denom = lcm(*(xi.denominator for xi in x))
-        y = [int(xi * denom) for xi in x]
-        for a, b in zip(rows, rhs):
-            if dot(a, y) > b * denom:
-                return
-        verts.setdefault(tuple(x), None)
-
-    def dfs(i, need):
-        if need == 0:
-            solve_leaf()
-            return
-        if n - i < need:
-            return
-        a, b = reduce_row(rows[i], rhs[i])
-        if any(a):
-            pc = next(j for j in range(dim) if a[j])
-            echelon.append((pc, a, b))
-            dfs(i + 1, need - 1)
-            echelon.pop()
-        dfs(i + 1, need)
-
-    dfs(0, dim)
-    return sorted(verts)
+        return [()] if all(b >= 0 for b in rhs) else []
+    cone = [tuple(a) + (-b,) for a, b in zip(rows, rhs)]
+    cone.append((0,) * dim + (-1,))
+    seed = []
+    for i, h in enumerate(cone):
+        if rank([cone[j] for j in seed] + [h]) > len(seed):
+            seed.append(i)
+            if len(seed) == dim + 1:
+                break
+    else:
+        return []  # the rows have rank below dim: no vertex, only lines
+    square = [cone[i] for i in seed]
+    adj = adjugate(square)
+    # square @ adj = det * I, so the columns of -sign(det) * adj are the rays,
+    # column j tight on every seed row but the j-th.
+    sign = -1 if dot(square[0], [r[0] for r in adj]) > 0 else 1
+    seed_mask = sum(1 << i for i in seed)
+    rays = [
+        (primitive([sign * r[j] for r in adj]), seed_mask & ~(1 << i))
+        for j, i in enumerate(seed)
+    ]
+    for i, h in enumerate(cone):
+        if i in seed:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for ray, tight in rays:
+            s = dot(h, ray)
+            if s > 0:
+                pos.append((s, ray, tight))
+            elif s < 0:
+                neg.append((s, ray, tight))
+                kept.append((ray, tight))
+            else:
+                kept.append((ray, tight | bit))
+        if pos and neg:
+            masks = [tight for _, tight in rays]
+            for sp, p, tp in pos:
+                for sn, n, tn in neg:
+                    common = tp & tn
+                    if common.bit_count() < dim - 1:
+                        continue
+                    if sum(m & common == common for m in masks) == 2:
+                        ray = primitive([sp * a - sn * b for a, b in zip(n, p)])
+                        kept.append((ray, common | bit))
+        rays = kept
+    return sorted(
+        tuple(Fraction(c, ray[-1]) for c in ray[:-1]) for ray, _ in rays if ray[-1] > 0
+    )
 
 
 @dataclass(frozen=True)

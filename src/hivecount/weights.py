@@ -27,16 +27,20 @@ def validate_weight(parts) -> Weight:
     return w
 
 
-def parse_weight(text: str) -> Weight:
-    """Parse a comma-separated weight such as '9,7,3,0,0'."""
+def parse_parts(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers in any order, such as '1,3,0'."""
     items = [t.strip() for t in text.split(",") if t.strip() != ""]
     if not items:
         raise WeightError(f"empty weight {text!r}")
     try:
-        parts = [int(t) for t in items]
+        return tuple(int(t) for t in items)
     except ValueError as exc:
         raise WeightError(f"cannot parse weight {text!r}") from exc
-    return validate_weight(parts)
+
+
+def parse_weight(text: str) -> Weight:
+    """Parse a comma-separated weight such as '9,7,3,0,0'."""
+    return validate_weight(parse_parts(text))
 
 
 def format_weight(w) -> str:
@@ -117,10 +121,10 @@ class WeightTriple:
 
 
 def make_triple(lam, mu, nu, rank: int | None = None) -> WeightTriple:
-    """Build a WeightTriple, inferring rank from the longest listed weight."""
+    """Build a WeightTriple, inferring rank from the most nonzero parts of a weight."""
     lam, mu, nu = validate_weight(lam), validate_weight(mu), validate_weight(nu)
     if rank is None:
-        rank = max(len(lam), len(mu), len(nu), 1)
+        rank = max(nonzero_length(lam), nonzero_length(mu), nonzero_length(nu), 1)
     return WeightTriple(
         zero_pad(lam, rank + 1), zero_pad(mu, rank + 1), zero_pad(nu, rank + 1), rank
     )

@@ -29,6 +29,14 @@ def test_count_size_mismatch_is_zero(capsys):
     assert out.strip() == "0"
 
 
+def test_count_trailing_zeros_do_not_raise_rank(capsys):
+    code, out, _ = run(
+        capsys, "count", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1,0,0,0,0,0,0"
+    )
+    assert code == 0
+    assert out.strip() == "2"
+
+
 def test_count_json_envelope(capsys):
     code, out, _ = run(
         capsys, "count", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1", "--json"
@@ -106,6 +114,14 @@ def test_kostka_direct_and_hive(capsys):
         )
         assert code == 0
         assert out.strip() == "2"
+
+
+def test_kostka_bad_content_exits_two(capsys):
+    code, out, err = run(capsys, "kostka", "--lambda", "2,1", "--mu", "1,x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_klimyk_term_lines(capsys):

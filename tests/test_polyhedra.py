@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hivecount import HRepPolytope
+from _vertex_oracle import subset_vertices
+from hivecount import HRepPolytope, make_triple
+from hivecount.counting import hive_hrep
 from hivecount.errors import InfeasibleLatticeError
 from hivecount.linalg import dot, rank as matrix_rank
 from hivecount.polyhedra import (
@@ -136,6 +138,43 @@ def test_enumerate_vertices_non_simple():
     assert len(verts) == 6
     for v in verts:
         assert sum(abs(c) for c in v) == 1
+
+
+@st.composite
+def inequality_systems(draw):
+    """(rows, rhs, dim): up to 10 rows with entries in [-2, 2], some repeated."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=7))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, dim
+
+
+@given(inequality_systems())
+@example(([(1,), (-1,)], [-1, 0], 1))  # empty
+@example(([(1, 1), (1, 1), (-1, -1)], [1, 1, 0], 2))  # a slab: lines, no vertex
+@example(([(-1, 0), (0, -1), (-1, 0)], [0, 0, 0], 2))  # unbounded quadrant
+@example(([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 0], 2))  # a point
+@example(([(0, 0), (1, 0), (-1, 0), (0, -1)], [-1, 1, 0, 0], 2))  # 0 <= -1
+@example(([], [], 3))  # all of space
+@settings(max_examples=300, deadline=None)
+def test_enumerate_vertices_matches_subset_walk(system):
+    rows, rhs, dim = system
+    assert enumerate_vertices(rows, rhs, dim) == subset_vertices(rows, rhs, dim)
+
+
+def test_enumerate_vertices_rank5_paper_row():
+    # the 557744 row of the paper's table: a 6-dimensional chart with 27 rows
+    triple = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
+    chart = lattice_chart(hive_hrep(triple))
+    assert chart.dim == 6
+    verts = enumerate_vertices(chart.rows, chart.rhs, chart.dim)
+    assert len(verts) == 232
+    for v in verts:
+        assert all(dot(a, v) <= b for a, b in zip(chart.rows, chart.rhs))
+        tight = [list(a) for a, b in zip(chart.rows, chart.rhs) if dot(a, v) == b]
+        assert matrix_rank(tight) == chart.dim
 
 
 def test_supporting_cone_square_corner():

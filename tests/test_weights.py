@@ -7,6 +7,7 @@ from hivecount.weights import (
     dilate_triple,
     format_weight,
     nonzero_length,
+    parse_parts,
     partial_sums,
     validate_weight,
     weight_size,
@@ -78,6 +79,21 @@ def test_make_triple_infers_rank():
     assert t.rank == 3
     assert t.lam == (2, 1, 0, 0)
     assert t.nu == (2, 2, 1, 0)
+
+
+def test_make_triple_ignores_trailing_zeros():
+    t = make_triple((2, 1), (2, 1), (3, 2, 1, 0, 0, 0, 0, 0, 0))
+    assert t == make_triple((2, 1), (2, 1), (3, 2, 1))
+    assert t.rank == 3
+    assert make_triple((0, 0), (0,), (0, 0, 0)).rank == 1
+    assert make_triple((2, 1), (1,), (3, 1), rank=4).nu == (3, 1, 0, 0, 0)
+
+
+def test_parse_parts_keeps_order():
+    assert parse_parts("1, 3,0") == (1, 3, 0)
+    for text in ("", "1,x", "1.5"):
+        with pytest.raises(WeightError):
+            parse_parts(text)
 
 
 def test_triple_requires_trailing_zero():
