@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (a coefficient of zero is a success), 2 invalid input,
-3 self-check mismatch or fit failure, 4 brute-force cap exceeded.
+3 self-check mismatch, fit failure or failed internal invariant, 4
+brute-force cap exceeded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import counting, klimyk, stretch, triangulation
 from .errors import (
     CapExceededError,
     CountMismatchError,
+    InvariantError,
     NoFitError,
     SizeMismatchError,
     WeightError,
@@ -24,6 +26,8 @@ from .hives import build_hive_polytope, homogenize
 from .polyfile import polytope_to_text, write_polytope_file
 from .polyhedra import HRepPolytope
 from .weights import make_triple, parse_parts, parse_weight
+
+THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _weights_from_args(args):
@@ -229,6 +233,16 @@ def cmd_export(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_weight_flags(p, nu=True):
     p.add_argument("--lambda", dest="lam", help="comma-separated weight, e.g. 9,7,3,0,0")
     p.add_argument("--mu", help="comma-separated weight")
@@ -248,7 +262,7 @@ def build_parser():
     p.add_argument("--input-file", help="batch file, one 'lambda mu nu' triple per line")
     p.add_argument("--method", choices=("naive", "barvinok", "both"), default="barvinok")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--naive-cap", type=int, default=counting.NAIVE_DIMENSION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
@@ -274,9 +288,11 @@ def build_parser():
 
     p = sub.add_parser("stretch", help="fit the stretched-multiplicity polynomial")
     _add_weight_flags(p)
-    p.add_argument("--n-max", type=int, default=None, help="largest dilation sampled")
+    p.add_argument(
+        "--n-max", type=_positive_int, default=None, help="largest dilation sampled"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stretch)
 
@@ -311,6 +327,9 @@ def main(argv=None) -> int:
         return 3
     except NoFitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
+        return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

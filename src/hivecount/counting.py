@@ -10,20 +10,20 @@ generic direction.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, floor
+from math import ceil, comb, floor, lcm
 
 from .errors import (
     CapExceededError,
     CountMismatchError,
     InfeasibleLatticeError,
+    InvariantError,
     UnboundedError,
 )
 from .hives import build_hive_polytope
-from .linalg import adjugate, det, dot, lll_reduce, vec_gcd
+from .linalg import adjugate, dot, lll_reduce, vec_gcd
 from .polyhedra import (
     OPTIMAL,
     HRepPolytope,
@@ -52,13 +52,16 @@ class SignedUnimodularCone:
     open_facets[i] marks the facet spanned by the rays other than i as
     excluded; the convention is fixed by the decomposition's interior
     direction and makes the signed indicator sum exact, not just exact
-    modulo lower-dimensional cones.
+    modulo lower-dimensional cones.  inverse holds the rows of the inverse
+    of the ray matrix, so inverse[i] . x is the coordinate of x along
+    rays[i].
     """
 
     sign: int
     apex: tuple
     rays: tuple
     open_facets: tuple
+    inverse: tuple
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def _reduce(poly: HRepPolytope):
                 return chart
             idx = _implicit_rows(chart, x)
             if not idx:
-                raise RuntimeError("flat polytope without an implicit equality")
+                raise InvariantError("flat polytope without an implicit equality")
             chart = restrict_chart(
                 chart,
                 [list(chart.rows[k]) for k in idx],
@@ -211,15 +214,15 @@ def _short_vector(adj, target):
             if best[0] < target:
                 break
         else:
-            raise RuntimeError("short-vector search stalled below the determinant")
+            raise InvariantError("short-vector search stalled below the determinant")
     return best[1]
 
 
 def _barvinok_recurse(sign, rays, y, apex, out):
     d = len(rays)
     U = [[rays[j][i] for j in range(d)] for i in range(d)]
-    D = det(U)
     adj = adjugate(U)
+    D = dot(U[0], [row[0] for row in adj])
     sgn_d = 1 if D > 0 else -1
     checks = [sgn_d * dot(row, y) for row in adj]
     if any(c == 0 for c in checks):
@@ -227,7 +230,11 @@ def _barvinok_recurse(sign, rays, y, apex, out):
     if abs(D) == 1:
         out.append(
             SignedUnimodularCone(
-                sign, apex, tuple(tuple(r) for r in rays), tuple(c < 0 for c in checks)
+                sign,
+                apex,
+                tuple(tuple(r) for r in rays),
+                tuple(c < 0 for c in checks),
+                tuple(tuple(D * v for v in row) for row in adj),
             )
         )
         return
@@ -236,7 +243,7 @@ def _barvinok_recurse(sign, rays, y, apex, out):
     for i in range(d):
         num = dot(U[i], b)
         if num % D:
-            raise RuntimeError("short vector left the adjugate lattice")
+            raise InvariantError("short vector left the adjugate lattice")
         w.append(num // D)
     g = vec_gcd(w)
     if g > 1:
@@ -264,7 +271,7 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     """
     rays = cone.rays
     if not rays:
-        return [SignedUnimodularCone(1, cone.apex, (), ())]
+        return [SignedUnimodularCone(1, cone.apex, (), (), ())]
     d = len(rays[0])
     if len(rays) == d:
         cells = [rays]
@@ -281,11 +288,11 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
             return out
         except _DegenerateDirection as exc:
             failure = exc
-    raise RuntimeError("no generic interior direction found") from failure
+    raise InvariantError("no generic interior direction found") from failure
 
 
 def _series_mul(a, b, deg):
-    out = [Fraction(0)] * (deg + 1)
+    out = [0] * (deg + 1)
     for i, av in enumerate(a[: deg + 1]):
         if av:
             for j in range(deg + 1 - i):
@@ -294,66 +301,77 @@ def _series_mul(a, b, deg):
     return out
 
 
-def _series_inv(a, deg):
-    lead = Fraction(1) / a[0]
-    out = [lead] + [Fraction(0)] * deg
+def _scaled_inverse(a, deg):
+    """a[0]^(deg+1) / a up to degree deg, for an int series a with a[0] != 0.
+
+    Coefficient k of 1/a has denominator dividing a[0]^(k+1), so every
+    coefficient here is an int and every division is exact.
+    """
+    lead = a[0]
+    out = [lead**deg] + [0] * deg
     for k in range(1, deg + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, min(k, len(a) - 1) + 1):
             if a[i]:
                 acc += a[i] * out[k - i]
-        out[k] = -acc * lead
+        out[k] = -acc // lead
     return out
 
 
 def _binomial_series(n, deg):
     """Coefficients of (1+s)^n up to degree deg, n any integer."""
     if n >= 0:
-        return [Fraction(comb(n, k)) for k in range(deg + 1)]
-    return [Fraction((-1) ** k * comb(-n + k - 1, k)) for k in range(deg + 1)]
+        return [comb(n, k) for k in range(deg + 1)]
+    return [(-1) ** k * comb(-n + k - 1, k) for k in range(deg + 1)]
 
 
 def _lowest_lattice_point(leaf):
-    """Unique lattice point of the leaf's half-open fundamental cell."""
-    d = len(leaf.rays)
-    U = [[leaf.rays[j][i] for j in range(d)] for i in range(d)]
-    D = det(U)
-    adj = adjugate(U)
-    point = []
+    """Unique lattice point of the leaf's half-open fundamental cell.
+
+    With apex = a / q for an int vector a, coordinate i of the point along
+    the rays exceeds the apex's by r_i / q, the fractional part of minus the
+    apex's coordinate, taken as 1 on an open facet.
+    """
+    apex = [Fraction(c) for c in leaf.apex]
+    q = lcm(*(c.denominator for c in apex))
+    a = [c.numerator * (q // c.denominator) for c in apex]
     shifts = []
-    for i in range(d):
-        s = Fraction(dot(adj[i], leaf.apex), D)
-        t = -s - floor(-s)
-        if leaf.open_facets[i] and t == 0:
-            t = Fraction(1)
-        shifts.append(t)
-    for j in range(d):
-        val = leaf.apex[j] + sum(U[j][i] * shifts[i] for i in range(d))
-        if val.denominator != 1:
-            raise RuntimeError("lowest point of a unimodular cone is not integral")
-        point.append(int(val))
+    for row, is_open in zip(leaf.inverse, leaf.open_facets):
+        r = -dot(row, a) % q
+        shifts.append(q if is_open and r == 0 else r)
+    point = []
+    for j, aj in enumerate(a):
+        num = aj + sum(u[j] * r for u, r in zip(leaf.rays, shifts))
+        if num % q:
+            raise InvariantError("lowest point of a unimodular cone is not integral")
+        point.append(num // q)
     return tuple(point)
 
 
 def _leaf_series(leaf, direction, deg):
-    """Signed truncated series of the leaf's generating function at (1+s)^direction."""
+    """Signed truncated series of the leaf's generating function at (1+s)^direction.
+
+    Returns (coefficients, scale): the series is coefficients / scale, with
+    int coefficients and scale = P^(deg+1) for P the product of the
+    |direction . ray| over the leaf's rays.
+    """
     d = len(leaf.rays)
     exponent = dot(direction, _lowest_lattice_point(leaf))
     negatives = 0
-    denom = [Fraction(1)] + [Fraction(0)] * deg
+    denom = [1] + [0] * deg
     for u in leaf.rays:
         e = dot(direction, u)
         if e == 0:
-            raise _DegenerateDirection
+            raise InvariantError("specialization direction is orthogonal to a ray")
         if e < 0:
             negatives += 1
             e = -e
             exponent += e
-        h = [Fraction(comb(e, k + 1)) for k in range(deg + 1)]
+        h = [comb(e, k + 1) for k in range(deg + 1)]
         denom = _series_mul(denom, h, deg)
-    series = _series_mul(_binomial_series(exponent, deg), _series_inv(denom, deg), deg)
+    series = _series_mul(_binomial_series(exponent, deg), _scaled_inverse(denom, deg), deg)
     sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
-    return [sgn * v for v in series]
+    return [sgn * v for v in series], denom[0] ** (deg + 1)
 
 
 def _specialization_direction(all_rays, dim, seed, attempt):
@@ -388,6 +406,12 @@ def _assert_bounded(rows, dim):
 
 
 def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> CountResult:
+    """Lattice points of a bounded poly via signed unimodular cones.
+
+    seed picks the decomposition and specialization directions and never
+    changes the count; threads is accepted for compatibility and has no
+    effect, since pure-Python work does not run in parallel under the GIL.
+    """
     chart = _reduce(poly)
     if chart is None:
         return CountResult(0, BARVINOK)
@@ -398,16 +422,11 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     rhs = list(chart.rhs)
     _assert_bounded(rows, d)
     vertices = enumerate_vertices(rows, rhs, d)
-
-    def leaves_at(v):
-        return decompose_cone(supporting_cone(rows, rhs, v), seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(leaves_at, vertices))
-    else:
-        groups = [leaves_at(v) for v in vertices]
-    leaves = [leaf for grp in groups for leaf in grp]
+    leaves = [
+        leaf
+        for v in vertices
+        for leaf in decompose_cone(supporting_cone(rows, rhs, v), seed)
+    ]
     ray_set = sorted({u for leaf in leaves for u in leaf.rays})
     direction = None
     for attempt in range(60):
@@ -415,25 +434,17 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         if direction is not None:
             break
     if direction is None:
-        raise RuntimeError("no valid specialization direction found")
-
-    def one_leaf(leaf):
-        return _leaf_series(leaf, direction, d)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_series = list(pool.map(one_leaf, leaves))
-    else:
-        all_series = [one_leaf(leaf) for leaf in leaves]
+        raise InvariantError("no valid specialization direction found")
     total = [Fraction(0)] * (d + 1)
-    for series in all_series:
+    for leaf in leaves:
+        series, scale = _leaf_series(leaf, direction, d)
         for k in range(d + 1):
-            total[k] += series[k]
+            total[k] += Fraction(series[k], scale)
     if any(total[k] != 0 for k in range(d)):
-        raise RuntimeError(f"loose Laurent terms in specialization: {total[:d]}")
+        raise InvariantError(f"loose Laurent terms in specialization: {total[:d]}")
     value = total[d]
     if value.denominator != 1 or value < 0:
-        raise RuntimeError(f"count specialized to {value}, not a nonnegative integer")
+        raise InvariantError(f"count specialized to {value}, not a nonnegative integer")
     return CountResult(int(value), BARVINOK)
 
 

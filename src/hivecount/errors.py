@@ -21,6 +21,10 @@ class CapExceededError(Exception):
     """A brute-force path was asked to exceed its configured size cap."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of a computation failed, so no result is trusted."""
+
+
 class CountMismatchError(Exception):
     """Two counting methods disagreed during a self-check run."""
 

@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and rationals, on plain lists.
 
 Everything here is deterministic and division-free where possible: Bareiss
-elimination for determinants and ranks, column-style Hermite reduction for
+elimination for determinants and ranks, one fraction-free (Bareiss)
+Gauss-Jordan elimination for the adjugate, column-style Hermite reduction for
 integral solves and kernel bases, Gaussian elimination over Fraction for
-rational solves, and a small LLL reduction used by the cone decomposition.
+rational solves, and an integral LLL reduction used by the cone
+decomposition.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from .errors import InfeasibleLatticeError
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def mat_vec(rows, x):
-    return [dot(r, x) for r in rows]
 
 
 def identity(n):
@@ -89,27 +87,40 @@ def rank(rows) -> int:
     return r
 
 
-def minor(rows, drop_i, drop_j):
-    return [
-        [v for j, v in enumerate(row) if j != drop_j]
-        for i, row in enumerate(rows)
-        if i != drop_i
-    ]
-
-
 def adjugate(rows):
-    """Classical adjugate: adjugate(A) @ A = det(A) * I."""
+    """Classical adjugate: adjugate(A) @ A = det(A) * I.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]: every
+    division is exact, and it ends at [det(PA) I | det(PA) (PA)^-1 P] for the
+    row permutation P, whose right block is sign(P) * adj(A).  A singular A
+    has no full set of pivots; its adjugate comes from the cofactors.
+    """
     n = len(rows)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = det(minor(rows, i, j))
-            adj[j][i] = c if (i + j) % 2 == 0 else -c
-    return adj
+    m = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            a = [list(r) for r in rows]
+            return [
+                [
+                    (-1) ** (i + j) * det([r[:j] + r[j + 1 :] for r in a[:i] + a[i + 1 :]])
+                    for i in range(n)
+                ]
+                for j in range(n)
+            ]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk = m[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * c) // prev for a, c in zip(m[i], pk)]
+        prev = p
+    return [[sign * v for v in row[n:]] for row in m]
 
 
 def solve_square(rows, b):
@@ -237,39 +248,61 @@ def kernel_line(rows):
 
 
 def lll_reduce(basis, delta=Fraction(3, 4)):
-    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows."""
+    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows.
+
+    Integral LLL (de Weger 1987; Cohen, "A Course in Computational Algebraic
+    Number Theory", Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    rows and lam[k][j] = d[j + 1] * mu[k][j] is the integral Gram-Schmidt
+    coefficient; both are updated in place by every size reduction and swap,
+    with exact divisions only.  At each k the row is size-reduced against
+    j = k-1, ..., 0 (mu rounded half to even) before the Lovasz test, and a
+    failed test swaps rows k-1 and k; this step order fixes the output.
+    """
     b = [list(v) for v in basis]
     n = len(b)
     if n <= 1:
         return b
-
-    def gram_schmidt():
-        ortho = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    raise ValueError("LLL input rows are dependent")
-                mu[i][j] = Fraction(dot(b[i], ortho[j])) / norms[j]
-                v = [a - mu[i][j] * c for a, c in zip(v, ortho[j])]
-            ortho.append(v)
-            norms.append(dot(v, v))
-        return ortho, mu, norms
-
-    ortho, mu, norms = gram_schmidt()
+    delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise ValueError("LLL input rows are dependent")
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q, r = divmod(lk[j], d[j + 1])
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
             if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                ortho, mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        t = lk[k - 1]
+        if dd * (d[k + 1] * d[k - 1] + t * t) >= dn * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        new_d = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            old = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - t * old) // d[k]
+            li[k - 1] = (new_d * old + t * li[k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
     return b

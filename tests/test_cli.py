@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hivecount.cli import main
+from hivecount.errors import InvariantError
 
 
 def run(capsys, *argv):
@@ -159,6 +160,33 @@ def test_stretch_insufficient_samples_exit_three(capsys):
         "stretch", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1", "--n-max", "2",
     )
     assert code == 3
+
+
+def test_stretch_n_max_zero_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stretch", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1", "--n-max", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --n-max" in err
+    assert "Traceback" not in err
+
+
+def test_invariant_failure_exits_three(monkeypatch, capsys):
+    import hivecount.counting as counting
+
+    def stalled(adj, target):
+        raise InvariantError("short-vector search stalled below the determinant")
+
+    monkeypatch.setattr(counting, "_short_vector", stalled)
+    # the 557744 row of the paper's table has cones of determinant above 1
+    code, out, err = run(
+        capsys,
+        "count", "--lambda", "73,58,41,21,4", "--mu", "77,61,46,27,1",
+        "--nu", "124,117,71,52,45",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: short-vector search stalled below the determinant\n"
 
 
 def test_triangulate_rank2(tmp_path, capsys):

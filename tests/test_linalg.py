@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from _lll_oracle import adjugate_cofactor, lll_reduce_fraction
 from hivecount.linalg import (
     adjugate,
     det,
@@ -11,7 +13,6 @@ from hivecount.linalg import (
     integer_kernel,
     kernel_line,
     lll_reduce,
-    mat_vec,
     primitive,
     rank,
     solve_square,
@@ -150,5 +151,39 @@ def test_lll_preserves_lattice(basis):
         assert all(c % d == 0 for c in coords)
 
 
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+def int_rows(n, m, bound):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=m, max_size=m), min_size=n, max_size=n
+    )
+
+
+lll_inputs = st.integers(1, 6).flatmap(
+    lambda n: st.integers(n, 7).flatmap(
+        lambda m: st.sampled_from((3, 40, 10**6)).flatmap(lambda b: int_rows(n, m, b))
+    )
+)
+
+
+@given(lll_inputs)
+@settings(max_examples=200, deadline=None)
+def test_lll_matches_fraction_oracle(rows):
+    assume(rank(rows) == len(rows))
+    assert lll_reduce(rows) == lll_reduce_fraction(rows)
+
+
+@given(lll_inputs, st.lists(st.integers(-3, 3), min_size=6, max_size=6), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_lll_rejects_dependent_rows(rows, coeffs, at):
+    extra = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(len(rows[0]))]
+    rows = rows[:at] + [extra] + rows[at:]
+    with pytest.raises(ValueError):
+        lll_reduce(rows)
+    with pytest.raises(ValueError):
+        lll_reduce_fraction(rows)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: int_rows(n, n, 30)))
+@settings(max_examples=200, deadline=None)
+def test_adjugate_matches_cofactor_oracle(m):
+    assume(det(m) != 0)
+    assert adjugate(m) == adjugate_cofactor(m)
