@@ -151,25 +151,29 @@ def _iter_chart_points(rows, rhs, dim):
             yield (v,) + rest
 
 
-def iter_lattice_points(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP):
-    """Yield the lattice points of poly in ambient coordinates."""
+def _chart_points(poly: HRepPolytope, cap: int):
+    """(chart, its integer points) for poly; (None, ()) when it has none.
+
+    Raises CapExceededError when the chart has more than cap dimensions.
+    """
     chart = _reduce(poly)
     if chart is None:
-        return
+        return None, ()
     if chart.dim > cap:
         raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
-    for t in _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim):
+    return chart, _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim)
+
+
+def iter_lattice_points(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP):
+    """Yield the lattice points of poly in ambient coordinates."""
+    chart, points = _chart_points(poly, cap)
+    for t in points:
         yield chart.to_ambient(t)
 
 
 def count_naive(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP) -> CountResult:
-    chart = _reduce(poly)
-    if chart is None:
-        return CountResult(0, NAIVE)
-    if chart.dim > cap:
-        raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
-    n = sum(1 for _ in _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim))
-    return CountResult(n, NAIVE)
+    _, points = _chart_points(poly, cap)
+    return CountResult(sum(1 for _ in points), NAIVE)
 
 
 def _interior_direction(rays, attempt, seed):
@@ -278,7 +282,6 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     else:
         tri = placing_triangulation(rays)
         cells = [tuple(rays[i] for i in cell.indices) for cell in tri.cells]
-    failure = None
     for attempt in range(64):
         y = _interior_direction(rays, attempt, seed)
         out = []
@@ -286,9 +289,11 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
             for cell in cells:
                 _barvinok_recurse(1, cell, y, cone.apex, out)
             return out
-        except _DegenerateDirection as exc:
-            failure = exc
-    raise InvariantError("no generic interior direction found") from failure
+        except _DegenerateDirection:
+            # keeping the exception would keep its traceback, whose frames
+            # refer back to this one: a cycle only the cyclic collector frees
+            pass
+    raise InvariantError("no generic interior direction found")
 
 
 def _series_mul(a, b, deg):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .counting import lr_coefficient
-from .errors import CapExceededError, WeightError
+from .errors import CapExceededError, InvariantError, WeightError
 from .weights import (
     kostka_to_lr,
     make_triple,
@@ -134,7 +134,7 @@ def klimyk_decompose(lam, mu, cap: int = SIZE_CAP):
         if m == 0:
             continue
         if m < 0:
-            raise RuntimeError(f"negative multiplicity {m} at {nu}; signed sum is wrong")
+            raise InvariantError(f"negative multiplicity {m} at {nu}; signed sum is wrong")
         terms.append(DecompositionTerm(nu, m))
     return terms
 

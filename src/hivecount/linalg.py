@@ -36,7 +36,7 @@ def primitive(v) -> tuple[int, ...]:
     g = vec_gcd(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def det(rows) -> int:

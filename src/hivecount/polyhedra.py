@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import InfeasibleLatticeError
+from .errors import InfeasibleLatticeError, InvariantError
 from .linalg import adjugate, dot, hermite_solve, kernel_line, primitive, rank, vec_gcd
 
 OPTIMAL = "optimal"
@@ -26,75 +26,115 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _pivot(tab, obj, basis, r, c):
-    inv = 1 / tab[r][c]
-    tab[r] = [v * inv for v in tab[r]]
+def _pivot(tab, obj, basis, den, r, c):
+    """Fraction-free pivot on tab[r][c]; returns the new common denominator.
+
+    Every entry of tab and obj is an int numerator over den > 0.  Row r stays
+    as it is and every other row k becomes (p * k - k[c] * row r) // den, an
+    exact division (Edmonds 1967; Bareiss 1968); the new denominator is the
+    pivot p.  A negative pivot, which only the drive-out of artificials can
+    choose, has its row negated first, so that every row comes out negated
+    and the denominator stays positive.
+    """
     row_r = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][c]:
-            f = tab[i][c]
-            tab[i] = [v - f * w for v, w in zip(tab[i], row_r)]
-    if obj[c]:
-        f = obj[c]
-        obj[:] = [v - f * w for v, w in zip(obj, row_r)]
+    p = row_r[c]
+    if p < 0:
+        p = -p
+        row_r = tab[r] = [-v for v in row_r]
+    for i, row in enumerate(tab):
+        if i != r:
+            tab[i] = _eliminate(row, row_r, p, den, c)
+    obj[:] = _eliminate(obj, row_r, p, den, c)
     basis[r] = c
+    return p
 
 
-def _bland_min(tab, obj, basis, ncols):
-    """Run simplex pivots (Bland's rule) until optimal or unbounded."""
+def _eliminate(row, row_r, p, den, c):
+    """The row after a pivot, (p * row - row[c] * row_r) // den, cheaper when row[c] == 0."""
+    f = row[c]
+    if f:
+        return [(p * v - f * w) // den for v, w in zip(row, row_r)]
+    if p == den:
+        return row
+    return [p * v // den for v in row]
+
+
+def _bland_min(tab, obj, basis, den, ncols):
+    """Run simplex pivots (Bland's rule) until optimal or unbounded.
+
+    Returns the status and the common denominator left by the last pivot.  The
+    ratio test compares b_i / a_i by cross-multiplying, ties going to the
+    smaller basic variable.
+    """
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, den
         best = None
-        for i in range(len(tab)):
-            coef = tab[i][enter]
-            if coef > 0:
-                key = (tab[i][-1] / coef, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                b = row[-1]
+                if best is None or (b * best_a, basis[i]) < (best_b * a, basis[best]):
+                    best, best_a, best_b = i, a, b
         if best is None:
-            return UNBOUNDED
-        _pivot(tab, obj, basis, best[1], enter)
+            return UNBOUNDED, den
+        den = _pivot(tab, obj, basis, den, best, enter)
 
 
 def _standard_simplex(rows, rhs, cost):
-    """Minimize cost . z over {z >= 0 : rows z = rhs}; returns (status, z)."""
+    """Minimize cost . z over {z >= 0 : rows z = rhs}; returns (status, z).
+
+    Two-phase simplex with Bland's rule on a tableau of int numerators over
+    one common denominator, which after each pivot is that pivot, i.e. up to
+    sign the determinant of the basis.  The tableau starts as the rows scaled
+    by the product of their denominators, with one artificial variable per row;
+    Fraction costs are scaled by the lcm of their denominators, which keeps
+    every sign the pivot rule reads.  Fractions are built only for z.
+    """
     m = len(rows)
     n = len(cost)
-    tab = []
+    den = 1
     for row, b in zip(rows, rhs):
+        # star-args from a list, not a generator: a tuple built from a
+        # generator is resized, then freed to the free list of its final
+        # size, and in a hot loop those free lists fill up
+        den *= lcm(b.denominator, *[v.denominator for v in row])
+    tab = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         if b < 0:
             row, b = [-v for v in row], -b
-        tab.append([Fraction(v) for v in row] + [Fraction(0)] * m + [Fraction(b)])
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
+        num = [(v * den).numerator for v in row] + [0] * m + [(b * den).numerator]
+        num[n + i] = den
+        tab.append(num)
     basis = list(range(n, n + m))
-    obj = [Fraction(1) if j >= n else Fraction(0) for j in range(n + m)] + [Fraction(0)]
-    for row in tab:
-        obj = [a - b for a, b in zip(obj, row)]
-    _bland_min(tab, obj, basis, n + m)
-    if -obj[-1] > 0:
+    # phase 1 minimizes the sum of the artificials: reduced costs -sum(rows)
+    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (n + 1)
+    obj[n : n + m] = [0] * m
+    _, den = _bland_min(tab, obj, basis, den, n + m)
+    if obj[-1] < 0:
         return INFEASIBLE, None
     for r in range(m):
         if basis[r] >= n:
             c = next((j for j in range(n) if tab[r][j] != 0), None)
             if c is not None:
-                _pivot(tab, obj, basis, r, c)
+                den = _pivot(tab, obj, basis, den, r, c)
     keep = [r for r in range(m) if basis[r] < n]
     tab = [tab[r][:n] + [tab[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
-    obj = [Fraction(c) for c in cost] + [Fraction(0)]
+    scale = lcm(*[c.denominator for c in cost])
+    cost = [(c * scale).numerator for c in cost]
+    obj = [den * c for c in cost] + [0]
     for r, b in enumerate(basis):
-        if obj[b]:
-            f = obj[b]
+        f = cost[b]
+        if f:
             obj = [v - f * w for v, w in zip(obj, tab[r])]
-    status = _bland_min(tab, obj, basis, n)
+    status, den = _bland_min(tab, obj, basis, den, n)
     if status == UNBOUNDED:
         return UNBOUNDED, None
     z = [Fraction(0)] * n
     for r, b in enumerate(basis):
-        z[b] = tab[r][-1]
+        z[b] = Fraction(tab[r][-1], den)
     return OPTIMAL, z
 
 
@@ -118,7 +158,7 @@ def lp(c, rows, rhs, eq_rows=(), eq_rhs=(), maximize=True):
         return LPResult(OPTIMAL, (), Fraction(0)) if ok else LPResult(INFEASIBLE)
     m1 = len(rows)
     sign = -1 if maximize else 1
-    cost = [sign * Fraction(v) for v in c] + [-sign * Fraction(v) for v in c] + [Fraction(0)] * m1
+    cost = [sign * v for v in c] + [-sign * v for v in c] + [0] * m1
     std_rows = []
     std_rhs = []
     for i, (a, b) in enumerate(zip(rows, rhs)):
@@ -132,8 +172,8 @@ def lp(c, rows, rhs, eq_rows=(), eq_rhs=(), maximize=True):
     status, z = _standard_simplex(std_rows, std_rhs, cost)
     if status != OPTIMAL:
         return LPResult(status)
-    x = tuple(z[j] - z[d + j] for j in range(d))
-    return LPResult(OPTIMAL, x, sum(Fraction(v) * xi for v, xi in zip(c, x)))
+    x = tuple([z[j] - z[d + j] for j in range(d)])
+    return LPResult(OPTIMAL, x, sum(v * xi for v, xi in zip(c, x)))
 
 
 def interior_point(rows, rhs, dim):
@@ -151,7 +191,7 @@ def interior_point(rows, rhs, dim):
     c = [0] * dim + [1]
     res = lp(c, aug_rows, aug_rhs)
     if res.status != OPTIMAL:
-        raise RuntimeError("slack program cannot be infeasible or unbounded")
+        raise InvariantError("slack program cannot be infeasible or unbounded")
     return res.value, res.x[:dim]
 
 
@@ -183,9 +223,9 @@ class HRepPolytope:
     eq_rhs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple([tuple(r) for r in self.rows]))
         object.__setattr__(self, "rhs", tuple(self.rhs))
-        object.__setattr__(self, "eq_rows", tuple(tuple(r) for r in self.eq_rows))
+        object.__setattr__(self, "eq_rows", tuple([tuple(r) for r in self.eq_rows]))
         object.__setattr__(self, "eq_rhs", tuple(self.eq_rhs))
 
     @property
@@ -230,7 +270,7 @@ def _rewrite_rows(rows, rhs, origin, basis):
     out_rows = []
     out_rhs = []
     for a, b in zip(rows, rhs):
-        new_row = tuple(dot(a, bv) for bv in basis)
+        new_row = tuple([dot(a, bv) for bv in basis])
         new_rhs = b - dot(a, origin)
         if any(new_row):
             out_rows.append(new_row)
@@ -249,10 +289,11 @@ def dedupe_rows(rows, rhs):
         key = primitive(a)
         g = vec_gcd(a)
         cur = best.get(key)
-        if cur is None or Fraction(b, g) < Fraction(cur[1], vec_gcd(cur[0])):
-            best[key] = (tuple(a), b)
+        # b / g < cur_b / cur_g, with both gcds positive
+        if cur is None or b * cur[2] < cur[1] * g:
+            best[key] = (tuple(a), b, g)
     kept = list(best.values())
-    return [a for a, _ in kept], [b for _, b in kept]
+    return [a for a, _, _ in kept], [b for _, b, _ in kept]
 
 
 def lattice_chart(poly: HRepPolytope) -> LatticeChart:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegenerateSpanError, NoUnimodularCellError
+from .errors import DegenerateSpanError, InvariantError, NoUnimodularCellError
 from .hives import build_hive_polytope, homogenize
 from .linalg import (
     det,
@@ -117,7 +117,7 @@ def _facet_normal(lin_vectors, facet_vectors, opposite):
     )
     side = dot(normal, opposite)
     if side == 0:
-        raise RuntimeError("cell vertex on its own facet hyperplane")
+        raise InvariantError("cell vertex on its own facet hyperplane")
     return tuple(-v for v in normal) if side > 0 else normal
 
 
@@ -170,7 +170,7 @@ def placing_triangulation(config, order=None) -> Triangulation:
         mat = [[coords[i][r] for i in cell] for r in range(span_dim)]
         d = det(mat)
         if d == 0:
-            raise RuntimeError("degenerate cell in placing triangulation")
+            raise InvariantError("degenerate cell in placing triangulation")
         out.append(SimplicialCell(tuple(sorted(cell)), d))
     return Triangulation(
         config=config,
@@ -203,14 +203,11 @@ def hive_matrix(rank: int) -> PointConfiguration:
     """Columns of the homogenized hive matrix M = [B 0; R I] as a configuration."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    zero = (0,) * (rank + 1)
-    system = build_hive_polytope(make_triple(zero, zero, zero, rank=rank))
-    rows, _ = homogenize(system)
-    columns = [tuple(row[c] for row in rows) for c in range(len(rows[0]))]
-    return PointConfiguration(tuple(columns))
+    return PointConfiguration(tuple(zip(*hive_matrix_rows(rank))))
 
 
 def hive_matrix_rows(rank: int):
+    """Rows of the homogenized hive matrix M = [B 0; R I] at the given rank."""
     zero = (0,) * (rank + 1)
     system = build_hive_polytope(make_triple(zero, zero, zero, rank=rank))
     rows, _ = homogenize(system)
@@ -258,7 +255,7 @@ def integral_vertex_witness(b, rank: int):
         x = [0] * n
         for col, c in zip(cell.indices, coeffs):
             if c.denominator != 1:
-                raise RuntimeError("non-integral solve in a unimodular cell")
+                raise InvariantError("non-integral solve in a unimodular cell")
             x[col] = int(c)
         _verify_vertex(rows, b, x)
         return tuple(x)
@@ -266,15 +263,15 @@ def integral_vertex_witness(b, rank: int):
         raise NoUnimodularCellError(
             f"rank {rank}: rhs lies only in cells of determinant != 1"
         )
-    raise RuntimeError("feasible rhs not covered by any cell; triangulation is broken")
+    raise InvariantError("feasible rhs not covered by any cell; triangulation is broken")
 
 
 def _verify_vertex(rows, b, x):
     n = len(x)
     if any(v < 0 for v in x):
-        raise RuntimeError("witness has a negative coordinate")
+        raise InvariantError("witness has a negative coordinate")
     if any(dot(r, x) != bv for r, bv in zip(rows, b)):
-        raise RuntimeError("witness does not satisfy M x = b")
+        raise InvariantError("witness does not satisfy M x = b")
     tight = [list(r) for r in rows]
     for j in range(n):
         if x[j] == 0:
@@ -282,7 +279,7 @@ def _verify_vertex(rows, b, x):
             row[j] = 1
             tight.append(row)
     if matrix_rank(tight) != n:
-        raise RuntimeError("witness is not a vertex: tight conditions do not pin it")
+        raise InvariantError("witness is not a vertex: tight conditions do not pin it")
 
 
 def write_triangulation(tri: Triangulation, path, rank: int):

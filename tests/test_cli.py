@@ -189,6 +189,21 @@ def test_invariant_failure_exits_three(monkeypatch, capsys):
     assert err == "internal error: short-vector search stalled below the determinant\n"
 
 
+def test_triangulation_invariant_failure_exits_three(tmp_path, monkeypatch, capsys):
+    import hivecount.triangulation as triangulation
+
+    # every cell of the placing triangulation then fails the determinant check
+    monkeypatch.setattr(triangulation, "det", lambda mat: 0)
+    triangulation.hive_triangulation.cache_clear()
+    out_file = tmp_path / "r3.txt"
+    code, out, err = run(capsys, "triangulate", "--rank", "3", "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "internal error: degenerate cell in placing triangulation\n"
+    assert not out_file.exists()
+
+
 def test_triangulate_rank2(tmp_path, capsys):
     out_file = tmp_path / "r2.txt"
     code, out, _ = run(capsys, "triangulate", "--rank", "2", "--out", str(out_file))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _lp_oracle import fraction_simplex
 from _vertex_oracle import subset_vertices
 from hivecount import HRepPolytope, make_triple
 from hivecount.counting import hive_hrep
@@ -13,6 +14,7 @@ from hivecount.polyhedra import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _standard_simplex,
     coordinate_bounds,
     dedupe_rows,
     enumerate_vertices,
@@ -64,6 +66,61 @@ def test_lp_standard_feasibility():
     assert sum(res.x) == 1
     res = lp_standard([[1, 1]], [-1], [0, 0])
     assert res.status == INFEASIBLE
+
+
+def test_lp_standard_redundant_rows():
+    # x + y + z = 2 twice over and x = z: the copy is dropped after phase 1
+    rows = [[1, 1, 1], [2, 2, 2], [1, 0, -1]]
+    rhs = [2, 4, 0]
+    res = lp_standard(rows, rhs, [1, 3, 1])
+    assert res == lp_standard(rows[::2], rhs[::2], [1, 3, 1])
+    assert res.status == OPTIMAL
+    assert res.x == (1, 0, 1)
+    assert res.value == 2
+    assert _standard_simplex(rows, rhs, [1, 3, 1]) == fraction_simplex(rows, rhs, [1, 3, 1])
+
+
+@st.composite
+def standard_programs(draw):
+    """(rows, rhs, cost) with up to 8 rows, 12 columns and entries in [-3, 3].
+
+    Half the right-hand sides are 0, so that phase 1 often ends with an
+    artificial variable basic at level 0, which the drive-out pivot then
+    replaces, often on a negative entry.  Up to two extra rows are a row plus -1, 0 or 1 times a row, with the same
+    combination of right-hand sides, so the system is often dependent.  Some
+    rows are divided by 2 or 3, and the cost may have Fraction entries.
+    """
+    n = draw(st.integers(1, 12))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6))
+    rhs = draw(st.lists(st.one_of(st.just(0), entries), min_size=len(rows), max_size=len(rows)))
+    if rows:
+        at = st.integers(0, len(rows) - 1)
+        for i, j, k in draw(st.lists(st.tuples(at, at, st.integers(-1, 1)), max_size=2)):
+            rows.append([u + k * v for u, v in zip(rows[i], rows[j])])
+            rhs.append(rhs[i] + k * rhs[j])
+        for i, d in enumerate(draw(st.lists(st.sampled_from((1, 1, 1, 2, 3)), max_size=len(rows)))):
+            rows[i] = [Fraction(v, d) for v in rows[i]]
+            rhs[i] = Fraction(rhs[i], d)
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    cost = draw(st.lists(st.one_of(entries, fractions), min_size=n, max_size=n))
+    return rows, rhs, cost
+
+
+@given(standard_programs())
+@example(([[-2, 0]], [0], [-1, -2]))  # drive-out pivot on -2, then unbounded
+@example(([[1, 1, 0], [1, -1, 0], [0, 1, 1]], [0, 0, 1], [0, 0, -1]))  # drive-out, then phase 2
+@example(([[1, 1, 0], [1, 1, 0], [0, 0, 1]], [1, 1, 2], [1, 0, 0]))  # duplicate row
+@example(([[1, -1], [-1, 1]], [-1, -1], [0, 0]))  # infeasible
+@example(([[1, -1]], [0], [-1, 0]))  # unbounded
+@example(([[1, 1, 0], [1, 0, 1]], [0, 0], [-1, -1, -1]))  # degenerate ratio ties
+@example(([[2, 1, 1]], [3], [Fraction(1, 2), Fraction(-1, 3), 1]))  # Fraction cost
+@example(([[1, 2]], [-2], [1, 1]))  # negative right-hand side
+@example(([], [], [1, -1]))  # no rows
+@settings(max_examples=400, deadline=None)
+def test_standard_simplex_matches_fraction_simplex(program):
+    rows, rhs, cost = program
+    assert _standard_simplex(rows, rhs, cost) == fraction_simplex(rows, rhs, cost)
 
 
 def test_lp_with_equalities():
