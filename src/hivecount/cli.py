@@ -297,7 +297,7 @@ def build_parser():
     p.set_defaults(func=cmd_stretch)
 
     p = sub.add_parser("triangulate", help="placing triangulation of the hive matrix")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--order", choices=("default", "natural", "random"), default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="triangulation file path")

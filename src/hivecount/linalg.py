@@ -2,16 +2,15 @@
 
 Everything here is deterministic and division-free where possible: Bareiss
 elimination for determinants and ranks, one fraction-free (Bareiss)
-Gauss-Jordan elimination for the adjugate, column-style Hermite reduction for
-integral solves and kernel bases, Gaussian elimination over Fraction for
-rational solves, and an integral LLL reduction used by the cone
-decomposition.
+Gauss-Jordan elimination for the adjugate, which also gives rational solves,
+column-style Hermite reduction for integral solves and kernel bases, and an
+integral LLL reduction used by the cone decomposition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import InfeasibleLatticeError
 
@@ -124,21 +123,15 @@ def adjugate(rows):
 
 
 def solve_square(rows, b):
-    """Solve A x = b exactly for square A; None when A is singular."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(rows, b)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [v * inv for v in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [v - f * w for v, w in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
+    """Solve A x = b exactly for square A; None when A is singular.
+
+    x = adj(A) b / det(A), with det(A) read off row 0 of A @ adj(A).
+    """
+    adj = adjugate(rows)
+    d = dot(rows[0], [r[0] for r in adj])
+    if d == 0:
+        return None
+    return [Fraction(dot(r, b), d) for r in adj]
 
 
 def hermite_solve(rows, b):
@@ -237,14 +230,14 @@ def kernel_line(rows):
     if r != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
-    u = [Fraction(0)] * dim
-    u[free] = Fraction(1)
+    # m is reduced: row i is zero in every pivot column but its own, so
+    # u[col_i] = -m[i][free] / m[i][col_i], scaled by the product of the pivots
+    scale = abs(prod(m[row_i][col] for row_i, col in enumerate(pivots)))
+    u = [0] * dim
+    u[free] = scale
     for row_i, col in enumerate(pivots):
-        u[col] = Fraction(-m[row_i][free], m[row_i][col])
-    denom = 1
-    for v in u:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return primitive(tuple(int(v * denom) for v in u))
+        u[col] = -m[row_i][free] * (scale // m[row_i][col])
+    return primitive(u)
 
 
 def lll_reduce(basis, delta=Fraction(3, 4)):

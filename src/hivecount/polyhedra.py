@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
-from .linalg import adjugate, dot, hermite_solve, kernel_line, primitive, rank, vec_gcd
+from .linalg import adjugate, dot, hermite_solve, primitive, rank, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -326,35 +325,32 @@ def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
     return LatticeChart(origin, basis, tuple(rows), tuple(rhs))
 
 
-def enumerate_vertices(rows, rhs, dim):
-    """All vertices of {x : rows x <= rhs} by the double description method.
+def _extreme_rays(cone_rows, n):
+    """Extreme rays of the cone {y in Q^n : h y <= 0 for every row h}.
 
-    The polyhedron is homogenized to the cone {(x, t) : a x - b t <= 0, t >= 0},
-    whose extreme rays with t > 0 are the multiples of (v, 1) for the vertices
-    v.  The rays of the simplicial cone cut out by dim + 1 independent rows
-    come from one adjugate; the other rows are then added one at a time,
-    keeping the rays on their side and joining each adjacent pair of rays
-    across them.  Rays are primitive int vectors, each with the bitmask of
-    the rows it is tight on; two rays are adjacent when they share at least
-    dim - 1 tight rows and no third ray is tight on all of those (Fukuda and
-    Prodon, "Double description method revisited", 1996).
+    The double description method (Motzkin et al. 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996).  The rays of the simplicial
+    cone cut out by the first n independent rows come from one adjugate; the
+    other rows are then added one at a time, keeping the rays on their side
+    and joining each adjacent pair of rays across them.  Rays are primitive
+    int vectors, each with the bitmask of the rows it is tight on; two rays
+    are adjacent when they share at least n - 2 tight rows and no third ray
+    is tight on all of those.
 
-    The polyhedron need not be bounded; what comes back is its set of extreme
-    points, sorted, as tuples of Fraction, and [] when it has none.
+    Returns the rays as int tuples in no particular order, or None when the
+    rows have rank below n, so that the cone contains a line.
     """
-    if dim == 0:
-        return [()] if all(b >= 0 for b in rhs) else []
-    cone = [tuple(a) + (-b,) for a, b in zip(rows, rhs)]
-    cone.append((0,) * dim + (-1,))
+    if n == 0:
+        return []
     seed = []
-    for i, h in enumerate(cone):
-        if rank([cone[j] for j in seed] + [h]) > len(seed):
+    for i, h in enumerate(cone_rows):
+        if rank([cone_rows[j] for j in seed] + [h]) > len(seed):
             seed.append(i)
-            if len(seed) == dim + 1:
+            if len(seed) == n:
                 break
     else:
-        return []  # the rows have rank below dim: no vertex, only lines
-    square = [cone[i] for i in seed]
+        return None
+    square = [cone_rows[i] for i in seed]
     adj = adjugate(square)
     # square @ adj = det * I, so the columns of -sign(det) * adj are the rays,
     # column j tight on every seed row but the j-th.
@@ -364,7 +360,7 @@ def enumerate_vertices(rows, rhs, dim):
         (primitive([sign * r[j] for r in adj]), seed_mask & ~(1 << i))
         for j, i in enumerate(seed)
     ]
-    for i, h in enumerate(cone):
+    for i, h in enumerate(cone_rows):
         if i in seed:
             continue
         bit = 1 << i
@@ -381,16 +377,29 @@ def enumerate_vertices(rows, rhs, dim):
         if pos and neg:
             masks = [tight for _, tight in rays]
             for sp, p, tp in pos:
-                for sn, n, tn in neg:
-                    common = tp & tn
-                    if common.bit_count() < dim - 1:
+                for sn, q, tq in neg:
+                    common = tp & tq
+                    if common.bit_count() < n - 2:
                         continue
                     if sum(m & common == common for m in masks) == 2:
-                        ray = primitive([sp * a - sn * b for a, b in zip(n, p)])
+                        ray = primitive([sp * a - sn * b for a, b in zip(q, p)])
                         kept.append((ray, common | bit))
         rays = kept
+    return [ray for ray, _ in rays]
+
+
+def enumerate_vertices(rows, rhs, dim):
+    """All vertices of {x : rows x <= rhs}, sorted, as tuples of Fraction.
+
+    The polyhedron is homogenized to the cone {(x, t) : a x - b t <= 0, t >= 0},
+    whose extreme rays with t > 0 are the multiples of (v, 1) for the vertices
+    v.  The polyhedron need not be bounded; [] when it has no vertex.
+    """
+    cone = [tuple(a) + (-b,) for a, b in zip(rows, rhs)]
+    cone.append((0,) * dim + (-1,))
+    rays = _extreme_rays(cone, dim + 1) or []
     return sorted(
-        tuple(Fraction(c, ray[-1]) for c in ray[:-1]) for ray, _ in rays if ray[-1] > 0
+        tuple(Fraction(c, ray[-1]) for c in ray[:-1]) for ray in rays if ray[-1] > 0
     )
 
 
@@ -403,28 +412,22 @@ class VertexCone:
 
 
 def supporting_cone(rows, rhs, vertex) -> VertexCone:
-    """Tangent cone at a vertex of a full-dimensional {x : rows x <= rhs}."""
-    dim = len(vertex)
-    if dim == 0:
-        return VertexCone((), ())
-    denom = lcm(*(Fraction(v).denominator for v in vertex))
-    vy = [int(Fraction(v) * denom) for v in vertex]
-    tight = [tuple(a) for a, b in zip(rows, rhs) if dot(a, vy) == b * denom]
-    if dim == 1:
-        rays = {
-            cand
-            for cand in ((1,), (-1,))
-            if all(dot(a, cand) <= 0 for a in tight)
-        }
-        return VertexCone(tuple(Fraction(v) for v in vertex), tuple(sorted(rays)))
-    rays = {}
-    for subset in combinations(range(len(tight)), dim - 1):
-        sub = [list(tight[i]) for i in subset]
-        u = kernel_line(sub)
-        if u is None:
-            continue
-        for cand in (u, tuple(-v for v in u)):
-            if all(dot(a, cand) <= 0 for a in tight):
-                rays.setdefault(cand, None)
-                break
-    return VertexCone(tuple(Fraction(v) for v in vertex), tuple(sorted(rays)))
+    """Tangent cone {y : a y <= 0 for the rows tight at vertex} of {x : rows x <= rhs}.
+
+    Raises ValueError when vertex is not a vertex: it violates a row, or the
+    rows tight at it have rank below its dimension.
+    """
+    apex = tuple(Fraction(v) for v in vertex)
+    denom = lcm(*[v.denominator for v in apex])
+    vy = [int(v * denom) for v in apex]
+    tight = []
+    for a, b in zip(rows, rhs):
+        slack = b * denom - dot(a, vy)
+        if slack < 0:
+            raise ValueError(f"{vertex} violates the row {tuple(a)} <= {b}")
+        if slack == 0:
+            tight.append(tuple(a))
+    rays = _extreme_rays(tight, len(apex))
+    if rays is None:
+        raise ValueError(f"{vertex} is not a vertex: its tight rows have rank below {len(apex)}")
+    return VertexCone(apex, tuple(sorted(rays)))

@@ -1,15 +1,18 @@
-"""The subset walk that enumerate_vertices replaced, kept as a test oracle.
+"""The subset walks that enumerate_vertices and supporting_cone replaced, kept as test oracles.
 
-It takes every maximal-rank subset of dim rows, solves the pinned equality
-system by incremental fraction-free elimination, and keeps the solutions that
-satisfy the whole system.  It visits C(len(rows), dim) subsets, so use it on
-small systems only.
+subset_vertices takes every maximal-rank subset of dim rows, solves the
+pinned equality system by incremental fraction-free elimination, and keeps
+the solutions that satisfy the whole system.  It visits C(len(rows), dim)
+subsets, so use it on small systems only.  subset_supporting_cone takes every
+(dim - 1)-subset of the rows tight at a vertex and keeps the side of its
+kernel line that satisfies all of them.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
-from hivecount.linalg import dot, vec_gcd
+from hivecount.linalg import dot, kernel_line, vec_gcd
 
 
 def subset_vertices(rows, rhs, dim):
@@ -65,3 +68,31 @@ def subset_vertices(rows, rhs, dim):
 
     dfs(0, dim)
     return sorted(verts)
+
+
+def subset_supporting_cone(rows, rhs, vertex):
+    """Sorted primitive extreme rays of the tangent cone at a vertex."""
+    dim = len(vertex)
+    if dim == 0:
+        return ()
+    denom = lcm(*(Fraction(v).denominator for v in vertex))
+    vy = [int(Fraction(v) * denom) for v in vertex]
+    tight = [tuple(a) for a, b in zip(rows, rhs) if dot(a, vy) == b * denom]
+    if dim == 1:
+        rays = {
+            cand
+            for cand in ((1,), (-1,))
+            if all(dot(a, cand) <= 0 for a in tight)
+        }
+        return tuple(sorted(rays))
+    rays = {}
+    for subset in combinations(range(len(tight)), dim - 1):
+        sub = [list(tight[i]) for i in subset]
+        u = kernel_line(sub)
+        if u is None:
+            continue
+        for cand in (u, tuple(-v for v in u)):
+            if all(dot(a, cand) <= 0 for a in tight):
+                rays.setdefault(cand, None)
+                break
+    return tuple(sorted(rays))

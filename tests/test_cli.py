@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hivecount.cli import main
 from hivecount.errors import InvariantError
@@ -202,6 +205,74 @@ def test_triangulation_invariant_failure_exits_three(tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     assert err == "internal error: degenerate cell in placing triangulation\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_triangulate_rank_below_one_exits_two(tmp_path, capsys, rank):
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulate", "--rank", rank, "--out", str(tmp_path / "r.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --rank" in err
+    assert "Traceback" not in err
+
+
+@st.composite
+def command_lines(draw, out_dir):
+    """argv for one subcommand: weights of at most 3 parts up to 3, small caps and ranks."""
+    commands = ["count", "nonzero", "kostka", "klimyk", "stretch", "triangulate", "export"]
+    cmd = draw(st.sampled_from(commands))
+    argv = [cmd]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    parts = st.lists(st.integers(-1, 3), max_size=3).map(lambda p: ",".join(map(str, p)))
+    weight = st.one_of(parts, st.sampled_from(["", "x", "1,,2"]))
+    if cmd != "triangulate":
+        maybe("--lambda", weight)
+        maybe("--mu", weight)
+    if cmd not in ("triangulate", "kostka", "klimyk"):
+        maybe("--nu", weight)
+    if cmd == "count":
+        maybe("--method", st.sampled_from(["naive", "barvinok", "both"]))
+        maybe("--naive-cap", st.integers(-1, 6))
+    if cmd == "kostka":
+        maybe("--via", st.sampled_from(["direct", "hive"]))
+    if cmd in ("kostka", "klimyk"):
+        maybe("--cap", st.integers(-1, 12))
+    if cmd == "stretch":
+        maybe("--n-max", st.integers(-1, 6))
+    if cmd == "triangulate":
+        # always --out: without it the file goes to the working directory
+        argv += ["--rank", str(draw(st.integers(-2, 3))), "--out", str(out_dir / "out.txt")]
+        maybe("--order", st.sampled_from(["default", "natural", "random"]))
+    if cmd in ("count", "stretch", "triangulate"):
+        maybe("--seed", st.integers(0, 3))
+    if cmd == "export":
+        maybe("--out", st.just(out_dir / "out.txt"))
+        if draw(st.booleans()):
+            argv.append("--homogenized")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(data=st.data())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_fuzz_exit_codes_without_traceback(tmp_path, data):
+    argv = data.draw(command_lines(tmp_path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_triangulate_rank2(tmp_path, capsys):

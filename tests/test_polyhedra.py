@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _lp_oracle import fraction_simplex
-from _vertex_oracle import subset_vertices
+from _vertex_oracle import subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
 from hivecount.counting import hive_hrep
 from hivecount.errors import InfeasibleLatticeError
@@ -232,6 +232,48 @@ def test_enumerate_vertices_rank5_paper_row():
         assert all(dot(a, v) <= b for a, b in zip(chart.rows, chart.rhs))
         tight = [list(a) for a, b in zip(chart.rows, chart.rhs) if dot(a, v) == b]
         assert matrix_rank(tight) == chart.dim
+
+
+@given(inequality_systems())
+@example((  # a square pyramid: 4 tight rows at the apex
+    [(1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1), (0, 0, 1)],
+    [0, 0, 0, 0, 1],
+    3,
+))
+@example(([(1,), (-1,)], [0, 0], 1))  # a point: the cone is {0}
+@example((  # a repeated tight row: two rays share dim - 2 tight rows but are not adjacent
+    [(-1, 1, 1, 0), (1, -1, -1, 2), (-2, 0, 2, 2), (1, -2, -2, 1), (0, 2, -2, 2), (1, -1, -1, 2),
+     (2, 0, -2, -1)],
+    [0, -2, 0, 3, 2, -2, -1],
+    4,
+))
+@example(([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], [1, 0, 1, 0, 1], 2))  # a redundant tight row
+@settings(max_examples=300, deadline=None)
+def test_supporting_cone_matches_subset_walk(system):
+    rows, rhs, dim = system
+    for v in subset_vertices(rows, rhs, dim):
+        assert supporting_cone(rows, rhs, v).rays == subset_supporting_cone(rows, rhs, v)
+
+
+def test_supporting_cone_rank5_paper_row():
+    # the 557744 row of the paper's table, as in the vertex test above
+    triple = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
+    chart = lattice_chart(hive_hrep(triple))
+    verts = enumerate_vertices(chart.rows, chart.rhs, chart.dim)
+    cones = [supporting_cone(chart.rows, chart.rhs, v) for v in verts]
+    assert len(cones) == 232
+    assert sum(len(c.rays) for c in cones) == 1504
+    assert max(len(c.rays) for c in cones) <= 10
+    for c in cones:
+        assert c.rays == subset_supporting_cone(chart.rows, chart.rhs, c.apex)
+
+
+def test_supporting_cone_rejects_non_vertices():
+    rows, rhs = cube_rows(2)
+    with pytest.raises(ValueError, match="not a vertex"):
+        supporting_cone(rows, rhs, (Fraction(0), Fraction(1, 2)))  # an edge midpoint
+    with pytest.raises(ValueError, match="violates"):
+        supporting_cone(rows, rhs, (5, 5))  # outside the square
 
 
 def test_supporting_cone_square_corner():
