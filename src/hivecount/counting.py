@@ -23,18 +23,20 @@ from .errors import (
     UnboundedError,
 )
 from .hives import build_hive_polytope
-from .linalg import adjugate, dot, lll_reduce, vec_gcd
+from .linalg import adjugate, dot, lll_reduce, rank, vec_gcd
+# enumerate_vertices is not called here, but perfbench/tracing.py hooks it
+# under this module's name
 from .polyhedra import (
-    OPTIMAL,
     HRepPolytope,
     VertexCone,
     coordinate_bounds,
     enumerate_vertices,
+    homogenized_rays,
     interior_point,
     lattice_chart,
-    lp_standard,
     restrict_chart,
     supporting_cone,
+    vertex_of,
 )
 from .triangulation import placing_triangulation
 from .weights import WeightTriple
@@ -74,62 +76,59 @@ class _DegenerateDirection(Exception):
     """Internal retry signal: chosen direction hit a facet or ray hyperplane."""
 
 
-def _implicit_rows(chart, x):
-    """Indices of rows certified implicit, given a max-min-slack optimum x.
+def _chart_rays(rows, rhs, dim):
+    """homogenized_rays of {t : rows t <= rhs}, and whether rows have rank below dim.
 
-    A nonnegative combination of rows tight at x that sums to the zero
-    functional forces every row in its support to hold with equality on the
-    whole polytope, and flat optimality guarantees such a combination exists.
-    Certificates are mined until none touches the remaining pool; rows the
-    pool misses get caught on the next outer round.
+    Rows of rank below dim leave a line through every point of the
+    polyhedron.  The coordinates outside a maximal independent set of
+    columns are then pinned to 0: every point moves along such a line to one
+    that satisfies the pin, so the pinned polyhedron is pointed, and it is
+    empty, or tight on a row everywhere, exactly when the whole one is.
     """
-    d = chart.dim
-    tight = [
-        k for k, (a, b) in enumerate(zip(chart.rows, chart.rhs)) if dot(a, x) == b
-    ]
-    implicit = set()
-    pool = set(tight)
-    while pool:
-        rows_std = [[chart.rows[k][j] for k in tight] for j in range(d)]
-        rows_std.append([1 if k in pool else 0 for k in tight])
-        rhs_std = [0] * d + [1]
-        res = lp_standard(rows_std, rhs_std, [0] * len(tight))
-        if res.status != OPTIMAL:
-            break
-        newly = {k for k, v in zip(tight, res.x) if v > 0 and k in pool}
-        if not newly:
-            break
-        implicit |= newly
-        pool -= newly
-    return sorted(implicit)
+    rays = homogenized_rays(rows, rhs, dim)
+    if rays is not None:
+        return rays, False
+    cols = []
+    for j in range(dim):
+        if rank([[a[i] for i in cols + [j]] for a in rows]) > len(cols):
+            cols.append(j)
+    pinned = [[a[i] for i in cols] for a in rows]
+    return homogenized_rays(pinned, rhs, len(cols)), True
 
 
 def _reduce(poly: HRepPolytope):
-    """Full-dimensional lattice chart of poly, or None when no lattice points.
+    """(full-dimensional lattice chart of poly, its vertices); None without lattice points.
 
-    Implicit equalities among the inequalities are detected by maximizing the
-    minimum slack and migrated into the equality system until the remaining
-    inequality system has a strictly interior point.
+    One double description pass over the homogenized chart answers what the
+    count needs: a ray with t > 0 is a vertex (none: poly is empty), one with
+    t = 0 a recession direction, and a row tight on every ray holds with
+    equality on all of poly.  Those implicit equalities are imposed with one
+    restrict_chart, whose lattice may be empty, and a second pass reads the
+    vertices of the restricted chart.  The vertices are sorted tuples of
+    Fraction in the coordinates of the returned chart.
+
+    Raises UnboundedError when poly is unbounded and has lattice points.
     """
     try:
         chart = lattice_chart(poly)
-        while chart.dim > 0:
-            tstar, x = interior_point(chart.rows, chart.rhs, chart.dim)
-            if tstar < 0:
-                return None
-            if tstar > 0:
-                return chart
-            idx = _implicit_rows(chart, x)
-            if not idx:
-                raise InvariantError("flat polytope without an implicit equality")
+        rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
+        if all(ray[-1] == 0 for ray, _ in rays):
+            return None
+        implicit = -1
+        for _, mask in rays:
+            implicit &= mask
+        if implicit:
+            idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
             chart = restrict_chart(
-                chart,
-                [list(chart.rows[k]) for k in idx],
-                [chart.rhs[k] for k in idx],
+                chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx]
             )
-        return chart
+        if lines or any(ray[-1] == 0 for ray, _ in rays):
+            raise UnboundedError("the polytope is unbounded; count is infinite")
+        if implicit:
+            rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
     except InfeasibleLatticeError:
         return None
+    return chart, sorted(vertex_of(ray) for ray, _ in rays)
 
 
 def _iter_chart_points(rows, rhs, dim):
@@ -142,8 +141,6 @@ def _iter_chart_points(rows, rhs, dim):
     if bounds is None:
         return
     lo, hi = bounds
-    if lo is None or hi is None:
-        raise UnboundedError("cannot enumerate an unbounded polyhedron")
     sub_rows = [r[1:] for r in rows]
     for v in range(ceil(lo), floor(hi) + 1):
         sub_rhs = [b - r[0] * v for r, b in zip(rows, rhs)]
@@ -155,10 +152,20 @@ def _chart_points(poly: HRepPolytope, cap: int):
     """(chart, its integer points) for poly; (None, ()) when it has none.
 
     Raises CapExceededError when the chart has more than cap dimensions.
+    A chart with an interior point keeps its dimension, so one slack LP
+    settles the cap for it before the double description pass, whose cost
+    grows with the vertex count (past 100 s at rank 7).
     """
-    chart = _reduce(poly)
-    if chart is None:
+    try:
+        chart = lattice_chart(poly)
+    except InfeasibleLatticeError:
         return None, ()
+    if chart.dim > cap and interior_point(chart.rows, chart.rhs, chart.dim)[0] > 0:
+        raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
+    reduced = _reduce(poly)
+    if reduced is None:
+        return None, ()
+    chart, _ = reduced
     if chart.dim > cap:
         raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
     return chart, _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim)
@@ -392,24 +399,6 @@ def _specialization_direction(all_rays, dim, seed, attempt):
     return cand
 
 
-def _assert_bounded(rows, dim):
-    """Raise unless {t : rows t <= rhs} is bounded for every right-hand side.
-
-    Boundedness of the polyhedron is trivial recession cone, which is the row
-    directions positively spanning the whole space; each +-unit vector is
-    tested for membership in their conic hull by a small feasibility LP.
-    """
-    cols = [[a[j] for a in rows] for j in range(dim)]
-    for j in range(dim):
-        for sign in (1, -1):
-            target = [sign if i == j else 0 for i in range(dim)]
-            res = lp_standard(cols, target, [0] * len(rows))
-            if res.status != OPTIMAL:
-                raise UnboundedError(
-                    f"chart coordinate {j} is unbounded; count is infinite"
-                )
-
-
 def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> CountResult:
     """Lattice points of a bounded poly via signed unimodular cones.
 
@@ -417,16 +406,15 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     changes the count; threads is accepted for compatibility and has no
     effect, since pure-Python work does not run in parallel under the GIL.
     """
-    chart = _reduce(poly)
-    if chart is None:
+    reduced = _reduce(poly)
+    if reduced is None:
         return CountResult(0, BARVINOK)
+    chart, vertices = reduced
     d = chart.dim
     if d == 0:
         return CountResult(1, BARVINOK)
     rows = list(chart.rows)
     rhs = list(chart.rhs)
-    _assert_bounded(rows, d)
-    vertices = enumerate_vertices(rows, rhs, d)
     leaves = [
         leaf
         for v in vertices

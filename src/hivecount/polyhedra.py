@@ -337,8 +337,9 @@ def _extreme_rays(cone_rows, n):
     are adjacent when they share at least n - 2 tight rows and no third ray
     is tight on all of those.
 
-    Returns the rays as int tuples in no particular order, or None when the
-    rows have rank below n, so that the cone contains a line.
+    Returns (ray, mask) pairs in no particular order, ray an int tuple and
+    bit i of mask set when ray is tight on row i, or None when the rows have
+    rank below n, so that the cone contains a line.
     """
     if n == 0:
         return []
@@ -385,22 +386,43 @@ def _extreme_rays(cone_rows, n):
                         ray = primitive([sp * a - sn * b for a, b in zip(q, p)])
                         kept.append((ray, common | bit))
         rays = kept
-    return [ray for ray, _ in rays]
+    return rays
+
+
+def _cone_row(row):
+    """row scaled by a positive factor to a primitive int vector; zero stays zero."""
+    q = lcm(*[v.denominator for v in row])
+    row = [int(v * q) for v in row]
+    return primitive(row) if any(row) else tuple(row)
+
+
+def homogenized_rays(rows, rhs, dim):
+    """Extreme rays, with their tight-row masks, of the cone over {x : rows x <= rhs}.
+
+    The cone is {(x, t) : a x - b t <= 0, t >= 0}, each row scaled to a
+    primitive int vector and t >= 0 last, so mask bit i < len(rows) stands
+    for rows[i].  Its rays with t > 0 are the multiples of (v, 1) for the
+    vertices v of the polyhedron (see vertex_of), those with t = 0 its
+    extreme recession directions.  None when rows have rank below dim: the
+    polyhedron is then empty or contains a line.
+    """
+    cone = [_cone_row(tuple(a) + (-b,)) for a, b in zip(rows, rhs)]
+    cone.append((0,) * dim + (-1,))
+    return _extreme_rays(cone, dim + 1)
+
+
+def vertex_of(ray):
+    """The vertex v of a homogenized ray (q v, q) with q > 0."""
+    return tuple(Fraction(c, ray[-1]) for c in ray[:-1])
 
 
 def enumerate_vertices(rows, rhs, dim):
     """All vertices of {x : rows x <= rhs}, sorted, as tuples of Fraction.
 
-    The polyhedron is homogenized to the cone {(x, t) : a x - b t <= 0, t >= 0},
-    whose extreme rays with t > 0 are the multiples of (v, 1) for the vertices
-    v.  The polyhedron need not be bounded; [] when it has no vertex.
+    The polyhedron need not be bounded; [] when it has no vertex.
     """
-    cone = [tuple(a) + (-b,) for a, b in zip(rows, rhs)]
-    cone.append((0,) * dim + (-1,))
-    rays = _extreme_rays(cone, dim + 1) or []
-    return sorted(
-        tuple(Fraction(c, ray[-1]) for c in ray[:-1]) for ray in rays if ray[-1] > 0
-    )
+    rays = homogenized_rays(rows, rhs, dim) or []
+    return sorted(vertex_of(ray) for ray, _ in rays if ray[-1] > 0)
 
 
 @dataclass(frozen=True)
@@ -430,4 +452,4 @@ def supporting_cone(rows, rhs, vertex) -> VertexCone:
     rays = _extreme_rays(tight, len(apex))
     if rays is None:
         raise ValueError(f"{vertex} is not a vertex: its tight rows have rank below {len(apex)}")
-    return VertexCone(apex, tuple(sorted(rays)))
+    return VertexCone(apex, tuple(sorted(ray for ray, _ in rays)))

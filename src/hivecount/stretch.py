@@ -125,8 +125,8 @@ def stretched_counts(triple: WeightTriple, n_max: int, seed: int = 0, threads: i
 
 def polytope_degree(triple: WeightTriple) -> int:
     """Dimension of the hive polytope after implicit equalities, 0 if empty."""
-    chart = _reduce(hive_hrep(triple))
-    return 0 if chart is None else chart.dim
+    reduced = _reduce(hive_hrep(triple))
+    return 0 if reduced is None else reduced[0].dim
 
 
 def conjecture2_report(

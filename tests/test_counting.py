@@ -1,9 +1,11 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from _reduce_oracle import lp_reduce_bounded
 from hivecount import (
     BARVINOK,
     NAIVE,
@@ -19,11 +21,12 @@ from hivecount import (
     iter_lattice_points,
     lr_coefficient,
     lr_nonzero,
+    lr_tableau_count,
     make_triple,
 )
-from hivecount.counting import NAIVE_DIMENSION_CAP
+from hivecount.counting import NAIVE_DIMENSION_CAP, _iter_chart_points, _reduce
 from hivecount.linalg import dot
-from hivecount.polyhedra import VertexCone
+from hivecount.polyhedra import VertexCone, enumerate_vertices
 
 
 def box_poly(bounds):
@@ -105,6 +108,15 @@ def test_fractional_flat_polytope():
     assert count_barvinok(poly).value == 0
 
 
+def test_fractional_rhs_counts():
+    # 0 <= 2x <= 7/2 and 0 <= y <= 5/2: x in {0, 1}, y in {0, 1, 2}
+    poly = HRepPolytope(
+        rows=((2, 0), (-1, 0), (0, 1), (0, -1)),
+        rhs=(Fraction(7, 2), 0, Fraction(5, 2), 0),
+    )
+    assert count_barvinok(poly).value == count_naive(poly).value == 6
+
+
 def test_unbounded_raises():
     poly = HRepPolytope(rows=((-1, 0), (0, -1)), rhs=(0, 0), eq_rows=(), eq_rhs=())
     with pytest.raises(UnboundedError):
@@ -118,6 +130,14 @@ def test_naive_cap():
     with pytest.raises(CapExceededError):
         count_naive(poly, cap=1)
     assert NAIVE_DIMENSION_CAP >= 2
+
+
+def test_naive_cap_precedes_vertex_enumeration():
+    # rank 7: a full-dimensional chart of dimension 15 with 60 rows, whose
+    # double description pass runs for minutes
+    lam, nu = (7, 6, 5, 4, 3, 2, 1), (13, 12, 10, 8, 6, 4, 3)
+    with pytest.raises(CapExceededError):
+        count_naive(hive_hrep(make_triple(lam, lam, nu)))
 
 
 def test_iter_lattice_points_box():
@@ -234,3 +254,105 @@ def test_method_both_mismatch_raises(monkeypatch):
     monkeypatch.setattr(counting, "count_naive", fake)
     with pytest.raises(CountMismatchError):
         lr_coefficient(t, method="both")
+
+
+def test_rank6_row_matches_tableau_rule():
+    # a chart of dimension 10 with 42 rows, the largest the reduction sees here
+    lam, nu = (6, 5, 4, 3, 2, 1), (11, 10, 8, 6, 4, 3)
+    assert lr_coefficient(make_triple(lam, lam, nu)) == lr_tableau_count(lam, lam, nu) == 16
+
+
+def test_count_path_runs_no_chart_lp(monkeypatch):
+    """Chart reduction and vertices take no simplex run.
+
+    The only simplex runs left on the count path are the triangulation's
+    pointedness checks of non-simplicial tangent cones (71 on the 557744 row).
+    """
+    import hivecount.polyhedra as polyhedra
+
+    real = polyhedra._standard_simplex
+
+    def simplex(*args):
+        caller = sys._getframe(2).f_code.co_name  # simplex <- lp_standard <- caller
+        assert caller == "_assert_pointed", f"{caller} ran a simplex on the count path"
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_standard_simplex", simplex)
+    paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
+    assert lr_coefficient(paper_row) == 557744
+    # a flat chart: dimension 3, one implicit equality
+    flat = make_triple((3, 2, 2), (4, 3, 1), (6, 4, 3, 2))
+    assert lr_coefficient(flat) == lr_tableau_count(flat.lam, flat.mu, flat.nu) == 3
+
+
+@st.composite
+def reduce_systems(draw):
+    """Polytopes of dimension 1-3 for the chart reduction.
+
+    Around a point p with coordinates in [-2, 3]: a box of integer sides
+    through or beyond p, some sides dropped when it is drawn unbounded, up
+    to 3 cuts with entries in [-2, 2] that p misses by at most 1/2 or meets
+    with up to 3 to spare, up to 2 opposing row pairs through p or half a
+    unit off it (flat, often lattice-empty), and at most one equality row
+    through p.
+    """
+    dim = draw(st.integers(1, 3))
+    p = draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim))
+    entries = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    bounded = draw(st.booleans())
+    rows, rhs = [], []
+    for j in range(dim):
+        for sign in (1, -1):
+            if bounded or draw(st.booleans()):
+                rows.append(tuple(sign if i == j else 0 for i in range(dim)))
+                rhs.append(sign * p[j] + draw(st.integers(0, 2)))
+    for a in draw(st.lists(entries, max_size=3)):
+        rows.append(tuple(a))
+        rhs.append(dot(a, p) + Fraction(draw(st.integers(-1, 6)), 2))
+    for a in draw(st.lists(entries, max_size=2)):
+        b = dot(a, p) + draw(st.sampled_from((0, 0, Fraction(1, 2))))
+        rows += [tuple(a), tuple(-v for v in a)]
+        rhs += [b, -b]
+    eq_rows = draw(st.lists(entries.filter(any), max_size=1))
+    return HRepPolytope(
+        rows=rows, rhs=rhs, eq_rows=eq_rows, eq_rhs=[dot(a, p) for a in eq_rows]
+    )
+
+
+def _reduced(reduce_fn, poly):
+    try:
+        return reduce_fn(poly)
+    except UnboundedError:
+        return "unbounded"
+
+
+def _ambient_points(chart):
+    points = _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim)
+    return {chart.to_ambient(t) for t in points}
+
+
+@given(reduce_systems())
+@example(HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 0), (-1, 0)),
+                      rhs=(3, 0, 3, 0, 1, -1)))  # flat: x = 1 in a box
+@example(HRepPolytope(rows=((1,), (-1,)), rhs=(-1, 0)))  # empty
+@example(HRepPolytope(rows=((1,), (-1,)),
+                      rhs=(Fraction(1, 2), Fraction(-1, 2))))  # x = 1/2, lattice-empty
+@example(HRepPolytope(rows=((-1, 0), (0, -1)), rhs=(0, 0)))  # unbounded quadrant
+@example(HRepPolytope(rows=((1, 0), (-1, 0)), rhs=(1, 0)))  # a strip: rank below dim
+@example(HRepPolytope(rows=((1, 0), (-1, 0)), rhs=(-1, 0)))  # an empty strip
+@example(HRepPolytope(rows=((2, 0), (-2, 0)), rhs=(1, -1)))  # the line 2x = 1, lattice-empty
+@example(HRepPolytope(rows=((2, 0), (-2, 0), (0, -1)), rhs=(1, -1, 0)))  # a lattice-empty ray
+@example(HRepPolytope(rows=(), rhs=(), eq_rows=((1, 0, 0),), eq_rhs=(0,)))  # a plane, no rows
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_lp_oracle(poly):
+    got = _reduced(_reduce, poly)
+    want = _reduced(lp_reduce_bounded, poly)
+    if want is None or want == "unbounded":
+        assert got == want
+        return
+    chart, vertices = got
+    assert chart.dim == want.dim
+    assert _ambient_points(chart) == _ambient_points(want)
+    assert {chart.to_ambient(v) for v in vertices} == {
+        want.to_ambient(v) for v in enumerate_vertices(want.rows, want.rhs, want.dim)
+    }

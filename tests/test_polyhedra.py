@@ -197,6 +197,13 @@ def test_enumerate_vertices_non_simple():
         assert sum(abs(c) for c in v) == 1
 
 
+def test_enumerate_vertices_fraction_rhs():
+    assert enumerate_vertices([(1,), (-1,)], [Fraction(1, 2), 0], 1) == [
+        (Fraction(0),),
+        (Fraction(1, 2),),
+    ]
+
+
 @st.composite
 def inequality_systems(draw):
     """(rows, rhs, dim): up to 10 rows with entries in [-2, 2], some repeated."""
