@@ -2,9 +2,21 @@
 
 The naive counter recurses on coordinate bounds and exists as an oracle.  The
 production path follows Barvinok: chart away equalities, enumerate vertices,
-decompose each tangent cone into signed unimodular half-open cones, and read
-the count off the short rational generating functions by specializing along a
+decompose the cone at each vertex into signed unimodular cones, and read the
+count off the short rational generating functions by specializing along a
 generic direction.
+
+A cone can be decomposed on either of two sides.  decompose_cone works on
+the primal side: it triangulates the tangent cone's rays and decomposes each
+cell into signed half-open unimodular cones, exactly.  The count works on the
+polar side: it does the same to the polar of each tangent cone, the cone over
+the facet rows tight at the vertex, drops pieces of lower dimension, and
+polarizes each unimodular piece into a closed cone.  That sum is exact modulo
+cones that contain lines, whose generating functions are zero (Barvinok and
+Pommersheim 1999; De Loera, Hemmecke, Tauzer and Yoshida 2004).  Hive
+polytopes favour the polar: their rows are short vectors, while the rays of
+their degenerate tangent cones are long, so polar cells have far smaller
+determinants and decompose into fewer leaves.
 """
 
 from __future__ import annotations
@@ -23,12 +35,13 @@ from .errors import (
     UnboundedError,
 )
 from .hives import build_hive_polytope
-from .linalg import adjugate, dot, lll_reduce, rank, vec_gcd
-# enumerate_vertices is not called here, but perfbench/tracing.py hooks it
-# under this module's name
+from .linalg import adjugate, dot, lll_reduce, primitive, rank, vec_gcd
+# enumerate_vertices and supporting_cone are not called here, but
+# perfbench/tracing.py hooks them under this module's name
 from .polyhedra import (
     HRepPolytope,
     VertexCone,
+    _extreme_rays,
     coordinate_bounds,
     enumerate_vertices,
     homogenized_rays,
@@ -104,8 +117,10 @@ def _reduce(poly: HRepPolytope):
     t = 0 a recession direction, and a row tight on every ray holds with
     equality on all of poly.  Those implicit equalities are imposed with one
     restrict_chart, whose lattice may be empty, and a second pass reads the
-    vertices of the restricted chart.  The vertices are sorted tuples of
-    Fraction in the coordinates of the returned chart.
+    vertices of the restricted chart.  The vertices come sorted as
+    (vertex, tight) pairs: the vertex a tuple of Fraction in the coordinates
+    of the returned chart, bit i of tight set when chart.rows[i] holds with
+    equality there.
 
     Raises UnboundedError when poly is unbounded and has lattice points.
     """
@@ -128,7 +143,7 @@ def _reduce(poly: HRepPolytope):
             rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
     except InfeasibleLatticeError:
         return None
-    return chart, sorted(vertex_of(ray) for ray, _ in rays)
+    return chart, sorted((vertex_of(ray), mask) for ray, mask in rays)
 
 
 def _iter_chart_points(rows, rhs, dim):
@@ -230,24 +245,39 @@ def _short_vector(adj, target):
 
 
 def _barvinok_recurse(sign, rays, y, apex, out):
+    """Barvinok's signed short-vector decomposition of cone(rays) into out.
+
+    With an interior direction y, each unimodular leaf is cone(rays) made
+    half-open along y, and a direction on a facet or ray hyperplane raises
+    _DegenerateDirection.  With y None the rays generate a piece of a polar
+    cone: pieces of lower dimension are dropped, and each leaf is the closed
+    polar {x : g . x <= 0 for every generator g} of its cone.
+    """
     d = len(rays)
     U = [[rays[j][i] for j in range(d)] for i in range(d)]
     adj = adjugate(U)
     D = dot(U[0], [row[0] for row in adj])
     sgn_d = 1 if D > 0 else -1
-    checks = [sgn_d * dot(row, y) for row in adj]
-    if any(c == 0 for c in checks):
-        raise _DegenerateDirection
+    if y is not None:
+        checks = [sgn_d * dot(row, y) for row in adj]
+        if any(c == 0 for c in checks):
+            raise _DegenerateDirection
     if abs(D) == 1:
-        out.append(
-            SignedUnimodularCone(
-                sign,
-                apex,
+        if y is None:
+            # for G the generators as rows the polar's rays are the columns of
+            # -G^-1, the rows of -D * adj, and the inverse of their matrix is -G
+            leaf = (
+                tuple(tuple(-D * v for v in row) for row in adj),
+                (False,) * d,
+                tuple(tuple(-v for v in g) for g in rays),
+            )
+        else:
+            leaf = (
                 tuple(tuple(r) for r in rays),
                 tuple(c < 0 for c in checks),
                 tuple(tuple(D * v for v in row) for row in adj),
             )
-        )
+        out.append(SignedUnimodularCone(sign, apex, *leaf))
         return
     b = _short_vector(adj, abs(D))
     w = []
@@ -301,6 +331,45 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
             # refer back to this one: a cycle only the cyclic collector frees
             pass
     raise InvariantError("no generic interior direction found")
+
+
+def _polar_generators(tight, dim):
+    """The primitive facet rows among tight, which generate the polar of the tangent cone.
+
+    The tangent cone is {y : a y <= 0 for a in tight}.  At a simple vertex
+    (dim tight rows) every row is a facet.  Otherwise a double description
+    run gives the tangent cone's rays with their tight masks, and a row is a
+    facet unless every ray tight on it is tight on some other row too: the
+    face it cuts out then lies in that row's facet.  Redundant rows would
+    only add triangulation cells.
+    """
+    if len(tight) > dim:
+        on = [0] * len(tight)
+        for i, (_, mask) in enumerate(_extreme_rays(tight, dim)):
+            for j in range(len(tight)):
+                if mask >> j & 1:
+                    on[j] |= 1 << i
+        tight = [
+            a
+            for j, a in enumerate(tight)
+            if not any(k != j and on[j] & z == on[j] for k, z in enumerate(on))
+        ]
+    return [primitive(a) for a in tight]
+
+
+def _vertex_leaves(apex, tight):
+    """Closed signed unimodular cones summing to the tangent cone at apex modulo cones with lines."""
+    gens = _polar_generators(tight, len(apex))
+    if len(gens) == len(apex):
+        cells = [gens]
+    else:
+        # the polar of a full-dimensional cone is pointed
+        tri = placing_triangulation(gens, pointed=True)
+        cells = [[gens[i] for i in cell.indices] for cell in tri.cells]
+    out = []
+    for cell in cells:
+        _barvinok_recurse(1, cell, None, apex, out)
+    return out
 
 
 def _series_mul(a, b, deg):
@@ -386,25 +455,29 @@ def _leaf_series(leaf, direction, deg):
     return [sgn * v for v in series], denom[0] ** (deg + 1)
 
 
-def _specialization_direction(all_rays, dim, seed, attempt):
-    if attempt < 50:
+def _specialization_direction(all_rays, dim, seed):
+    """An int direction orthogonal to none of the rays.
+
+    Up to 50 seeded draws of growing range come first.  The fallback
+    (1, b, b^2, ...) with b above twice every |ray entry| always works: the
+    base-b digits of a nonzero ray, each below b/2 in size, cannot cancel.
+    """
+    for attempt in range(50):
         rng = random.Random(((seed + 1) << 20) ^ attempt)
         bound = 8 + 4 * attempt
         cand = tuple(rng.randint(-bound, bound) for _ in range(dim))
-    else:
-        base = 2 * max(abs(c) for u in all_rays for c in u) + 1
-        cand = tuple(base**i for i in range(dim))
-    if any(dot(cand, u) == 0 for u in all_rays):
-        return None
-    return cand
+        if all(dot(cand, u) for u in all_rays):
+            return cand
+    base = 2 * max(abs(c) for u in all_rays for c in u) + 1
+    return tuple(base**i for i in range(dim))
 
 
 def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> CountResult:
     """Lattice points of a bounded poly via signed unimodular cones.
 
-    seed picks the decomposition and specialization directions and never
-    changes the count; threads is accepted for compatibility and has no
-    effect, since pure-Python work does not run in parallel under the GIL.
+    seed picks the specialization direction and never changes the count;
+    threads is accepted for compatibility and has no effect, since
+    pure-Python work does not run in parallel under the GIL.
     """
     reduced = _reduce(poly)
     if reduced is None:
@@ -413,21 +486,13 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     d = chart.dim
     if d == 0:
         return CountResult(1, BARVINOK)
-    rows = list(chart.rows)
-    rhs = list(chart.rhs)
-    leaves = [
-        leaf
-        for v in vertices
-        for leaf in decompose_cone(supporting_cone(rows, rhs, v), seed)
-    ]
+    rows = chart.rows
+    leaves = []
+    for v, mask in vertices:
+        tight = [a for k, a in enumerate(rows) if mask >> k & 1]
+        leaves += _vertex_leaves(v, tight)
     ray_set = sorted({u for leaf in leaves for u in leaf.rays})
-    direction = None
-    for attempt in range(60):
-        direction = _specialization_direction(ray_set, d, seed, attempt)
-        if direction is not None:
-            break
-    if direction is None:
-        raise InvariantError("no valid specialization direction found")
+    direction = _specialization_direction(ray_set, d, seed)
     total = [Fraction(0)] * (d + 1)
     for leaf in leaves:
         series, scale = _leaf_series(leaf, direction, d)
@@ -453,7 +518,7 @@ def count_dilation(
         eq_rows=poly.eq_rows,
         eq_rhs=tuple(n * b for b in poly.eq_rhs),
     )
-    return CountResult(count_barvinok(scaled, seed=seed, threads=threads).value, BARVINOK)
+    return count_barvinok(scaled, seed=seed, threads=threads)
 
 
 def hive_hrep(triple: WeightTriple) -> HRepPolytope:

@@ -18,6 +18,7 @@ from .linalg import (
     det,
     dot,
     hermite_solve,
+    identity,
     integer_kernel,
     kernel_line,
     rank as matrix_rank,
@@ -74,7 +75,7 @@ def span_lattice_basis(points):
     m = len(points[0])
     left_kernel = integer_kernel([list(p) for p in points])
     if not left_kernel:
-        return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        return identity(m)
     return integer_kernel(left_kernel)
 
 
@@ -121,12 +122,14 @@ def _facet_normal(lin_vectors, facet_vectors, opposite):
     return tuple(-v for v in normal) if side > 0 else normal
 
 
-def placing_triangulation(config, order=None) -> Triangulation:
+def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order.
 
     Each generator is inserted in turn; one that extends the dimension joins
     every existing cell, one inside the current cone changes nothing, and one
-    outside is joined to the strictly visible boundary facets.
+    outside is joined to the strictly visible boundary facets.  A caller that
+    knows cone(config) to be pointed passes pointed=True to skip the LP that
+    checks it.
     """
     if not isinstance(config, PointConfiguration):
         config = PointConfiguration(tuple(config))
@@ -135,9 +138,16 @@ def placing_triangulation(config, order=None) -> Triangulation:
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the point indices")
-    _assert_pointed(pts)
-    basis = span_lattice_basis(pts)
-    coords = [_span_coordinates(basis, p) for p in pts]
+    if not pointed:
+        _assert_pointed(pts)
+    m = config.ambient_dim
+    if matrix_rank(pts) == m:
+        # the span is all of Q^m, and its lattice Z^m
+        basis = identity(m)
+        coords = list(pts)
+    else:
+        basis = span_lattice_basis(pts)
+        coords = [_span_coordinates(basis, p) for p in pts]
 
     cells = []  # each a tuple of point indices, len == current dimension
     lin = []  # indices of an independent spanning subset

@@ -25,8 +25,8 @@ from hivecount import (
     make_triple,
 )
 from hivecount.counting import NAIVE_DIMENSION_CAP, _iter_chart_points, _reduce
-from hivecount.linalg import dot
-from hivecount.polyhedra import VertexCone, enumerate_vertices
+from hivecount.linalg import dot, primitive
+from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices
 
 
 def box_poly(bounds):
@@ -262,20 +262,21 @@ def test_rank6_row_matches_tableau_rule():
     assert lr_coefficient(make_triple(lam, lam, nu)) == lr_tableau_count(lam, lam, nu) == 16
 
 
+def test_rank6_second_row_matches_tableau_rule():
+    # dimension 9 with degenerate vertices of up to 22 tight rows: the polar
+    # side built on every tight row, redundant ones too, and the primal side
+    # both take several times as long as the polar side on the facet rows
+    lam, mu, nu = (6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (10, 10, 8, 7, 4, 3)
+    assert lr_coefficient(make_triple(lam, mu, nu)) == lr_tableau_count(lam, mu, nu) == 18
+
+
 def test_count_path_runs_no_chart_lp(monkeypatch):
-    """Chart reduction and vertices take no simplex run.
-
-    The only simplex runs left on the count path are the triangulation's
-    pointedness checks of non-simplicial tangent cones (71 on the 557744 row).
-    """
+    """Chart reduction, vertices, cones and their triangulations take no simplex run."""
     import hivecount.polyhedra as polyhedra
-
-    real = polyhedra._standard_simplex
 
     def simplex(*args):
         caller = sys._getframe(2).f_code.co_name  # simplex <- lp_standard <- caller
-        assert caller == "_assert_pointed", f"{caller} ran a simplex on the count path"
-        return real(*args)
+        raise AssertionError(f"{caller} ran a simplex on the count path")
 
     monkeypatch.setattr(polyhedra, "_standard_simplex", simplex)
     paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
@@ -283,6 +284,82 @@ def test_count_path_runs_no_chart_lp(monkeypatch):
     # a flat chart: dimension 3, one implicit equality
     flat = make_triple((3, 2, 2), (4, 3, 1), (6, 4, 3, 2))
     assert lr_coefficient(flat) == lr_tableau_count(flat.lam, flat.mu, flat.nu) == 3
+
+
+def _primal_leaves(apex, tight):
+    rays = _extreme_rays(tight, len(apex))
+    return decompose_cone(VertexCone(apex, tuple(sorted(ray for ray, _ in rays))))
+
+
+def _every_tight_row(tight, dim):
+    return [primitive(a) for a in tight]
+
+
+@st.composite
+def cone_polytopes(draw):
+    """Full-dimensional polytopes of dimension 2-4 with degenerate vertices.
+
+    The box [-2, 3]^d ([-1, 2]^4 at d = 4) is cut by up to 5 halfspaces
+    a . x <= a . p + s through or just past one point p inside it, with
+    entries of a in [-2, 2] and s in {0, 1/2, 1}.  Every a makes a . y < 0
+    for one drawn direction y, so p + e y is an interior point for small
+    e > 0; cuts with s = 0 all meet at p, which is then often a vertex with
+    more tight rows than its dimension.
+    """
+    dim = draw(st.integers(2, 4))
+    lo, hi = (-1, 2) if dim == 4 else (-2, 3)
+    p = draw(st.lists(st.integers(lo + 1, hi - 1), min_size=dim, max_size=dim))
+    y = draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).filter(any))
+    rows, rhs = [], []
+    for j in range(dim):
+        rows += [tuple(int(i == j) for i in range(dim)), tuple(-int(i == j) for i in range(dim))]
+        rhs += [hi, -lo]
+    cut = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(lambda a: dot(a, y))
+    for a in draw(st.lists(cut, max_size=5)):
+        if dot(a, y) > 0:
+            a = [-v for v in a]
+        rows.append(tuple(a))
+        rhs.append(dot(a, p) + draw(st.sampled_from((0, 0, 0, Fraction(1, 2), 1))))
+    return HRepPolytope(rows=rows, rhs=rhs)
+
+
+@given(cone_polytopes())
+# the apex of a square pyramid: four tight rows in dimension 3
+@example(HRepPolytope(rows=((0, 0, -1), (-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)),
+                      rhs=(0, 0, 2, 0, 2)))
+# at (0, 2) the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
+@example(HRepPolytope(rows=((-1, 0), (0, -1), (1, 2)), rhs=(0, 0, 4)))
+# a Fraction right-hand side: fractional vertices, closed polar leaves at them
+@example(HRepPolytope(rows=((-1, 0), (0, -1), (2, 1), (1, 3)),
+                      rhs=(0, 0, Fraction(9, 2), Fraction(13, 3))))
+# a redundant tight row: at (0, 0) the row -x - y <= 0 cuts out only the apex
+@example(HRepPolytope(rows=((-1, 0), (0, -1), (-1, -1), (1, 0), (0, 1)), rhs=(0, 0, 0, 2, 2)))
+@settings(max_examples=60, deadline=None)
+def test_polar_and_primal_sides_match_naive(poly):
+    """The count's polar side, the polar on every tight row and the primal side agree."""
+    import hivecount.counting as counting
+
+    expected = count_naive(poly).value
+    assert count_barvinok(poly).value == expected
+    for name, fake in (("_polar_generators", _every_tight_row), ("_vertex_leaves", _primal_leaves)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, name, fake)
+            assert count_barvinok(poly).value == expected, name
+
+
+def test_polar_side_leaves():
+    from hivecount.counting import _polar_generators, _vertex_leaves
+
+    assert _polar_generators([(-2, 0), (0, -1), (-1, -1)], 2) == [(-1, 0), (0, -1)]
+    # the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
+    leaves = _vertex_leaves((Fraction(0), Fraction(2)), [(-1, 0), (1, 2)])
+    assert len(leaves) > 1
+    for leaf in leaves:
+        assert not any(leaf.open_facets)
+        # inverse is the inverse of the ray matrix, which is unimodular
+        assert all(dot(row, ray) == int(i == j) for i, row in enumerate(leaf.inverse)
+                   for j, ray in enumerate(leaf.rays))
+        assert abs(_ray_det(leaf.rays)) == 1
 
 
 @st.composite
@@ -353,6 +430,9 @@ def test_reduce_matches_lp_oracle(poly):
     chart, vertices = got
     assert chart.dim == want.dim
     assert _ambient_points(chart) == _ambient_points(want)
-    assert {chart.to_ambient(v) for v in vertices} == {
+    assert {chart.to_ambient(v) for v, _ in vertices} == {
         want.to_ambient(v) for v in enumerate_vertices(want.rows, want.rhs, want.dim)
     }
+    for v, mask in vertices:
+        rows = zip(chart.rows, chart.rhs)
+        assert mask == sum(1 << k for k, (a, b) in enumerate(rows) if dot(a, v) == b)
