@@ -37,11 +37,11 @@ from .errors import (
 from .hives import build_hive_polytope
 from .linalg import adjugate, dot, lll_reduce, primitive, rank, vec_gcd
 # enumerate_vertices and supporting_cone are not called here, but
-# perfbench/tracing.py hooks them under this module's name
+# perfbench/tracing.py hooks them under this module's name, and a name it
+# cannot hook drops per-layer metrics that perfbench/selftest.py requires
 from .polyhedra import (
     HRepPolytope,
     VertexCone,
-    _extreme_rays,
     coordinate_bounds,
     enumerate_vertices,
     homogenized_rays,
@@ -333,33 +333,28 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     raise InvariantError("no generic interior direction found")
 
 
-def _polar_generators(tight, dim):
-    """The primitive facet rows among tight, which generate the polar of the tangent cone.
+def _facet_mask(tight_masks, nrows):
+    """Bitmask of the facet rows among nrows rows, read off every vertex's tight-row mask.
 
-    The tangent cone is {y : a y <= 0 for a in tight}.  At a simple vertex
-    (dim tight rows) every row is a facet.  Otherwise a double description
-    run gives the tangent cone's rays with their tight masks, and a row is a
-    facet unless every ray tight on it is tight on some other row too: the
-    face it cuts out then lies in that row's facet.  Redundant rows would
-    only add triangulation cells.
+    With the polytope bounded and full-dimensional and no two rows parallel,
+    row j is a facet unless the vertices tight on it are all tight on some
+    other row: a facet is spanned by its vertices, and any other face lies in
+    a facet.  So a row tight at no vertex is never a facet.  The facets of the
+    tangent cone at a vertex are the facets through it.
     """
-    if len(tight) > dim:
-        on = [0] * len(tight)
-        for i, (_, mask) in enumerate(_extreme_rays(tight, dim)):
-            for j in range(len(tight)):
-                if mask >> j & 1:
-                    on[j] |= 1 << i
-        tight = [
-            a
-            for j, a in enumerate(tight)
-            if not any(k != j and on[j] & z == on[j] for k, z in enumerate(on))
-        ]
-    return [primitive(a) for a in tight]
+    on = [sum(1 << i for i, m in enumerate(tight_masks) if m >> j & 1) for j in range(nrows)]
+    return sum(
+        1 << j
+        for j, z in enumerate(on)
+        if not any(k != j and w & z == z for k, w in enumerate(on))
+    )
 
 
-def _vertex_leaves(apex, tight):
-    """Closed signed unimodular cones summing to the tangent cone at apex modulo cones with lines."""
-    gens = _polar_generators(tight, len(apex))
+def _vertex_leaves(apex, gens):
+    """Closed signed unimodular cones at apex summing to cone(gens)'s polar modulo cones with lines.
+
+    gens are the primitive facet rows through apex, so that polar is the tangent cone.
+    """
     if len(gens) == len(apex):
         cells = [gens]
     else:
@@ -486,11 +481,11 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     d = chart.dim
     if d == 0:
         return CountResult(1, BARVINOK)
-    rows = chart.rows
+    gens = [primitive(a) for a in chart.rows]
+    facets = _facet_mask([mask for _, mask in vertices], len(gens))
     leaves = []
     for v, mask in vertices:
-        tight = [a for k, a in enumerate(rows) if mask >> k & 1]
-        leaves += _vertex_leaves(v, tight)
+        leaves += _vertex_leaves(v, [g for k, g in enumerate(gens) if (mask & facets) >> k & 1])
     ray_set = sorted({u for leaf in leaves for u in leaf.rays})
     direction = _specialization_direction(ray_set, d, seed)
     total = [Fraction(0)] * (d + 1)

@@ -54,9 +54,9 @@ def polytope_from_text(text: str) -> HRepPolytope:
     eq_indices = set()
     extra = lines[1 + m :]
     if extra:
-        if len(extra) > 1 or not extra[0].startswith("linearity"):
-            raise ValueError(f"unexpected trailing content {extra!r}")
         toks = extra[0].split()
+        if len(extra) > 1 or len(toks) < 2 or toks[0] != "linearity":
+            raise ValueError(f"trailing content {extra!r} is not 'linearity k i_1 ... i_k'")
         k = int(toks[1])
         idx = [int(t) for t in toks[2:]]
         if len(idx) != k:
@@ -64,6 +64,8 @@ def polytope_from_text(text: str) -> HRepPolytope:
         for i in idx:
             if not 1 <= i <= m:
                 raise ValueError(f"linearity index {i} out of range 1..{m}")
+            if i in eq_indices:
+                raise ValueError(f"linearity lists row {i} twice")
             eq_indices.add(i)
     rows, rhs, eq_rows, eq_rhs = [], [], [], []
     for i, vals in enumerate(raw, start=1):

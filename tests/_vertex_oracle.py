@@ -1,18 +1,24 @@
-"""The subset walks that enumerate_vertices and supporting_cone replaced, kept as test oracles.
+"""Replaced vertex and tangent-cone routines, kept as test oracles.
+
+These are the subset walks that enumerate_vertices and supporting_cone
+replaced, and the per-vertex facet test that the count's facet mask replaced.
 
 subset_vertices takes every maximal-rank subset of dim rows, solves the
 pinned equality system by incremental fraction-free elimination, and keeps
 the solutions that satisfy the whole system.  It visits C(len(rows), dim)
 subsets, so use it on small systems only.  subset_supporting_cone takes every
 (dim - 1)-subset of the rows tight at a vertex and keeps the side of its
-kernel line that satisfies all of them.
+kernel line that satisfies all of them.  _polar_generators runs the double
+description routine on the rows tight at one vertex and keeps the facets of
+its tangent cone.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from hivecount.linalg import dot, kernel_line, vec_gcd
+from hivecount.linalg import dot, kernel_line, primitive, vec_gcd
+from hivecount.polyhedra import _extreme_rays
 
 
 def subset_vertices(rows, rhs, dim):
@@ -96,3 +102,27 @@ def subset_supporting_cone(rows, rhs, vertex):
                 rays.setdefault(cand, None)
                 break
     return tuple(sorted(rays))
+
+
+def _polar_generators(tight, dim):
+    """The primitive facet rows among tight, which generate the polar of the tangent cone.
+
+    The tangent cone is {y : a y <= 0 for a in tight}.  At a simple vertex
+    (dim tight rows) every row is a facet.  Otherwise a double description
+    run gives the tangent cone's rays with their tight masks, and a row is a
+    facet unless every ray tight on it is tight on some other row too: the
+    face it cuts out then lies in that row's facet.  Redundant rows would
+    only add triangulation cells.
+    """
+    if len(tight) > dim:
+        on = [0] * len(tight)
+        for i, (_, mask) in enumerate(_extreme_rays(tight, dim)):
+            for j in range(len(tight)):
+                if mask >> j & 1:
+                    on[j] |= 1 << i
+        tight = [
+            a
+            for j, a in enumerate(tight)
+            if not any(k != j and on[j] & z == on[j] for k, z in enumerate(on))
+        ]
+    return [primitive(a) for a in tight]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reduce_oracle import lp_reduce_bounded
+from _vertex_oracle import _polar_generators
 from hivecount import (
     BARVINOK,
     NAIVE,
@@ -25,7 +26,7 @@ from hivecount import (
     make_triple,
 )
 from hivecount.counting import NAIVE_DIMENSION_CAP, _iter_chart_points, _reduce
-from hivecount.linalg import dot, primitive
+from hivecount.linalg import dot
 from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices
 
 
@@ -286,13 +287,35 @@ def test_count_path_runs_no_chart_lp(monkeypatch):
     assert lr_coefficient(flat) == lr_tableau_count(flat.lam, flat.mu, flat.nu) == 3
 
 
-def _primal_leaves(apex, tight):
-    rays = _extreme_rays(tight, len(apex))
+def test_count_path_runs_one_dd_pass(monkeypatch):
+    """The double description routine runs once per chart, not once per vertex."""
+    import hivecount.polyhedra as polyhedra
+
+    real = polyhedra._extreme_rays
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_extreme_rays", counted)
+    paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
+    assert lr_coefficient(paper_row) == 557744
+    assert len(calls) == 1
+    # the flat chart's implicit equality is imposed, and a second pass reads
+    # the vertices of the restricted chart
+    calls.clear()
+    assert lr_coefficient(make_triple((3, 2, 2), (4, 3, 1), (6, 4, 3, 2))) == 3
+    assert len(calls) == 2
+
+
+def _primal_leaves(apex, gens):
+    rays = _extreme_rays(gens, len(apex))
     return decompose_cone(VertexCone(apex, tuple(sorted(ray for ray, _ in rays))))
 
 
-def _every_tight_row(tight, dim):
-    return [primitive(a) for a in tight]
+def _every_row(tight_masks, nrows):
+    return (1 << nrows) - 1
 
 
 @st.composite
@@ -323,17 +346,27 @@ def cone_polytopes(draw):
     return HRepPolytope(rows=rows, rhs=rhs)
 
 
-@given(cone_polytopes())
-# the apex of a square pyramid: four tight rows in dimension 3
-@example(HRepPolytope(rows=((0, 0, -1), (-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)),
-                      rhs=(0, 0, 2, 0, 2)))
-# at (0, 2) the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
-@example(HRepPolytope(rows=((-1, 0), (0, -1), (1, 2)), rhs=(0, 0, 4)))
-# a Fraction right-hand side: fractional vertices, closed polar leaves at them
-@example(HRepPolytope(rows=((-1, 0), (0, -1), (2, 1), (1, 3)),
-                      rhs=(0, 0, Fraction(9, 2), Fraction(13, 3))))
-# a redundant tight row: at (0, 0) the row -x - y <= 0 cuts out only the apex
-@example(HRepPolytope(rows=((-1, 0), (0, -1), (-1, -1), (1, 0), (0, 1)), rhs=(0, 0, 0, 2, 2)))
+CONE_EXAMPLES = (
+    # the apex of a square pyramid: four tight rows in dimension 3
+    HRepPolytope(rows=((0, 0, -1), (-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)),
+                 rhs=(0, 0, 2, 0, 2)),
+    # at (0, 2) the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
+    HRepPolytope(rows=((-1, 0), (0, -1), (1, 2)), rhs=(0, 0, 4)),
+    # a Fraction right-hand side: fractional vertices, closed polar leaves at them
+    HRepPolytope(rows=((-1, 0), (0, -1), (2, 1), (1, 3)),
+                 rhs=(0, 0, Fraction(9, 2), Fraction(13, 3))),
+    # a redundant tight row: at (0, 0) the row -x - y <= 0 cuts out only the apex
+    HRepPolytope(rows=((-1, 0), (0, -1), (-1, -1), (1, 0), (0, 1)), rhs=(0, 0, 0, 2, 2)),
+)
+
+
+def with_cone_examples(test):
+    for poly in CONE_EXAMPLES:
+        test = example(poly)(test)
+    return given(cone_polytopes())(test)
+
+
+@with_cone_examples
 @settings(max_examples=60, deadline=None)
 def test_polar_and_primal_sides_match_naive(poly):
     """The count's polar side, the polar on every tight row and the primal side agree."""
@@ -341,16 +374,69 @@ def test_polar_and_primal_sides_match_naive(poly):
 
     expected = count_naive(poly).value
     assert count_barvinok(poly).value == expected
-    for name, fake in (("_polar_generators", _every_tight_row), ("_vertex_leaves", _primal_leaves)):
+    for name, fake in (("_facet_mask", _every_row), ("_vertex_leaves", _primal_leaves)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, name, fake)
             assert count_barvinok(poly).value == expected, name
 
 
-def test_polar_side_leaves():
-    from hivecount.counting import _polar_generators, _vertex_leaves
+def _count_generators(poly):
+    """(tight rows, polar generators) at each vertex, as count_barvinok decomposes them."""
+    import hivecount.counting as counting
 
-    assert _polar_generators([(-2, 0), (0, -1), (-1, -1)], 2) == [(-1, 0), (0, -1)]
+    chart, vertices = _reduce(poly)
+    real = counting._vertex_leaves
+    seen = []
+
+    def spy(apex, gens):
+        seen.append((apex, gens))
+        return real(apex, gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_vertex_leaves", spy)
+        count_barvinok(poly)
+    assert [apex for apex, _ in seen] == [v for v, _ in vertices]
+    return chart, [
+        ([a for a, b in zip(chart.rows, chart.rhs) if dot(a, apex) == b], gens)
+        for apex, gens in seen
+    ]
+
+
+@with_cone_examples
+@settings(max_examples=60, deadline=None)
+def test_facet_mask_matches_per_vertex_dd(poly):
+    """At every vertex the count decomposes the facet rows that a DD run on its tight rows finds."""
+    chart, pairs = _count_generators(poly)
+    for tight, gens in pairs:
+        assert gens == _polar_generators(tight, chart.dim)
+
+
+@pytest.mark.parametrize(
+    "triple, most_tight",
+    [
+        (((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45)), 9),
+        (((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (10, 10, 8, 7, 4, 3)), 22),
+    ],
+)
+def test_facet_mask_matches_per_vertex_dd_on_hive_charts(triple, most_tight):
+    # charts of dimension 6 and 9, whose degenerate vertices have up to
+    # most_tight tight rows
+    chart, pairs = _count_generators(hive_hrep(make_triple(*triple)))
+    for tight, gens in pairs:
+        assert gens == _polar_generators(tight, chart.dim)
+    assert max(len(tight) for tight, _ in pairs) == most_tight
+
+
+def test_polar_side_leaves():
+    from hivecount.counting import _facet_mask, _vertex_leaves
+
+    # the square [0, 2]^2 with -x - y <= 0, tight only at the origin, and
+    # x + y <= 10, tight nowhere: only the four sides are facets
+    square = HRepPolytope(rows=((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, 1)),
+                          rhs=(0, 0, 2, 2, 0, 10))
+    chart, vertices = _reduce(square)
+    assert chart.rows == square.rows
+    assert _facet_mask([mask for _, mask in vertices], len(chart.rows)) == 0b1111
     # the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
     leaves = _vertex_leaves((Fraction(0), Fraction(2)), [(-1, 0), (1, 2)])
     assert len(leaves) > 1

@@ -66,6 +66,12 @@ def test_parse_errors():
         polytope_from_text("1 2\n1 1 1\n")  # row too long
     with pytest.raises(ValueError):
         polytope_from_text("1 2\n1 1\nlinearity 1 2\n")  # index out of range
+    with pytest.raises(ValueError):
+        polytope_from_text("1 2\n0 1\nlinearity\n")  # no row count
+    with pytest.raises(ValueError):
+        polytope_from_text("1 2\n0 1\nlinearityX 1 1\n")  # not the linearity keyword
+    with pytest.raises(ValueError):
+        polytope_from_text("2 2\n0 1\n0 -1\nlinearity 2 1 1\n")  # a row listed twice
 
 
 def test_file_round_trip(tmp_path):
