@@ -401,16 +401,13 @@ def _binomial_series(n, deg):
     return [(-1) ** k * comb(-n + k - 1, k) for k in range(deg + 1)]
 
 
-def _lowest_lattice_point(leaf):
+def _lowest_lattice_point(leaf, a, q):
     """Unique lattice point of the leaf's half-open fundamental cell.
 
-    With apex = a / q for an int vector a, coordinate i of the point along
-    the rays exceeds the apex's by r_i / q, the fractional part of minus the
-    apex's coordinate, taken as 1 on an open facet.
+    With the leaf's apex a / q for an int vector a, coordinate i of the point
+    along the rays exceeds the apex's by r_i / q, the fractional part of minus
+    the apex's coordinate, taken as 1 on an open facet.
     """
-    apex = [Fraction(c) for c in leaf.apex]
-    q = lcm(*(c.denominator for c in apex))
-    a = [c.numerator * (q // c.denominator) for c in apex]
     shifts = []
     for row, is_open in zip(leaf.inverse, leaf.open_facets):
         r = -dot(row, a) % q
@@ -424,15 +421,17 @@ def _lowest_lattice_point(leaf):
     return tuple(point)
 
 
-def _leaf_series(leaf, direction, deg):
+def _leaf_series(leaf, a, q, direction, h_of, deg):
     """Signed truncated series of the leaf's generating function at (1+s)^direction.
 
+    The leaf's apex is a / q.  h_of caches, for each e = |direction . ray|,
+    the series ((1+s)^e - 1) / s, which leaves across the count share.
     Returns (coefficients, scale): the series is coefficients / scale, with
     int coefficients and scale = P^(deg+1) for P the product of the
     |direction . ray| over the leaf's rays.
     """
     d = len(leaf.rays)
-    exponent = dot(direction, _lowest_lattice_point(leaf))
+    exponent = dot(direction, _lowest_lattice_point(leaf, a, q))
     negatives = 0
     denom = [1] + [0] * deg
     for u in leaf.rays:
@@ -443,7 +442,9 @@ def _leaf_series(leaf, direction, deg):
             negatives += 1
             e = -e
             exponent += e
-        h = [comb(e, k + 1) for k in range(deg + 1)]
+        h = h_of.get(e)
+        if h is None:
+            h = h_of[e] = [comb(e, k + 1) for k in range(deg + 1)]
         denom = _series_mul(denom, h, deg)
     series = _series_mul(_binomial_series(exponent, deg), _scaled_inverse(denom, deg), deg)
     sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
@@ -483,16 +484,25 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         return CountResult(1, BARVINOK)
     gens = [primitive(a) for a in chart.rows]
     facets = _facet_mask([mask for _, mask in vertices], len(gens))
-    leaves = []
-    for v, mask in vertices:
-        leaves += _vertex_leaves(v, [g for k, g in enumerate(gens) if (mask & facets) >> k & 1])
-    ray_set = sorted({u for leaf in leaves for u in leaf.rays})
+    vertex_leaves = [
+        (v, _vertex_leaves(v, [g for k, g in enumerate(gens) if (mask & facets) >> k & 1]))
+        for v, mask in vertices
+    ]
+    ray_set = sorted({u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays})
     direction = _specialization_direction(ray_set, d, seed)
-    total = [Fraction(0)] * (d + 1)
-    for leaf in leaves:
-        series, scale = _leaf_series(leaf, direction, d)
-        for k in range(d + 1):
-            total[k] += Fraction(series[k], scale)
+    h_of = {}
+    sums = {}  # scale -> sum of the int series of the leaves with that scale
+    while vertex_leaves:
+        # popped, each vertex's leaves are freed once summed, so sums adds no peak memory
+        v, leaves = vertex_leaves.pop()
+        q = lcm(*[c.denominator for c in v])
+        a = [c.numerator * (q // c.denominator) for c in v]
+        for leaf in leaves:
+            series, scale = _leaf_series(leaf, a, q, direction, h_of, d)
+            acc = sums.setdefault(scale, [0] * (d + 1))
+            for k, c in enumerate(series):
+                acc[k] += c
+    total = [sum(Fraction(acc[k], scale) for scale, acc in sums.items()) for k in range(d + 1)]
     if any(total[k] != 0 for k in range(d)):
         raise InvariantError(f"loose Laurent terms in specialization: {total[:d]}")
     value = total[d]

@@ -10,7 +10,7 @@ integral LLL reduction used by the cone decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .errors import InfeasibleLatticeError
 
@@ -205,39 +205,6 @@ def integer_kernel(rows):
     n_rows = len(rows)
     x0, kernel = hermite_solve(rows, [0] * n_rows)
     return kernel
-
-
-def kernel_line(rows):
-    """Primitive integer kernel vector of rows with corank exactly one, else None."""
-    dim = len(rows[0])
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                p, q = m[r][col], m[i][col]
-                m[i] = [p * x - q * y for x, y in zip(m[i], m[r])]
-                g = vec_gcd(m[i])
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        pivots.append(col)
-        r += 1
-    if r != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    # m is reduced: row i is zero in every pivot column but its own, so
-    # u[col_i] = -m[i][free] / m[i][col_i], scaled by the product of the pivots
-    scale = abs(prod(m[row_i][col] for row_i, col in enumerate(pivots)))
-    u = [0] * dim
-    u[free] = scale
-    for row_i, col in enumerate(pivots):
-        u[col] = -m[row_i][free] * (scale // m[row_i][col])
-    return primitive(u)
 
 
 def lll_reduce(basis, delta=Fraction(3, 4)):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
@@ -382,7 +383,9 @@ def _extreme_rays(cone_rows, n):
                     common = tp & tq
                     if common.bit_count() < n - 2:
                         continue
-                    if sum(m & common == common for m in masks) == 2:
+                    # p and q are tight on common; stop at a third ray that is
+                    third = islice((m for m in masks if m & common == common), 2, None)
+                    if next(third, None) is None:
                         ray = primitive([sp * a - sn * b for a, b in zip(q, p)])
                         kept.append((ray, common | bit))
         rays = kept

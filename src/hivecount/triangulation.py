@@ -9,18 +9,18 @@ the configuration is not full-dimensional in ambient space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegenerateSpanError, InvariantError, NoUnimodularCellError
 from .hives import build_hive_polytope, homogenize
 from .linalg import (
+    adjugate,
     det,
     dot,
     hermite_solve,
     identity,
     integer_kernel,
-    kernel_line,
+    primitive,
     rank as matrix_rank,
     solve_square,
 )
@@ -102,32 +102,13 @@ def _assert_pointed(points):
         raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
 
 
-def _facet_normal(lin_vectors, facet_vectors, opposite):
-    """Outer normal of a boundary facet, expressed in span coordinates.
-
-    The normal is constrained to the space spanned by lin_vectors so that
-    visibility is decided inside the current cone's own span.
-    """
-    rows = [[dot(f, lv) for lv in lin_vectors] for f in facet_vectors]
-    beta = kernel_line(rows) if rows else (1,)
-    if beta is None:
-        return None
-    k = len(lin_vectors[0])
-    normal = tuple(
-        sum(bt * lv[i] for bt, lv in zip(beta, lin_vectors)) for i in range(k)
-    )
-    side = dot(normal, opposite)
-    if side == 0:
-        raise InvariantError("cell vertex on its own facet hyperplane")
-    return tuple(-v for v in normal) if side > 0 else normal
-
-
 def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order.
 
     Each generator is inserted in turn; one that extends the dimension joins
     every existing cell, one inside the current cone changes nothing, and one
-    outside is joined to the strictly visible boundary facets.  A caller that
+    outside is joined to the strictly visible boundary facets: those opposite
+    a negative barycentric coordinate of the point in their cell.  A caller that
     knows cone(config) to be pointed passes pointed=True to skip the LP that
     checks it.
     """
@@ -150,30 +131,46 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
         coords = [_span_coordinates(basis, p) for p in pts]
 
     cells = []  # each a tuple of point indices, len == current dimension
-    lin = []  # indices of an independent spanning subset
+    inverses = []  # per cell, once needed: (adjugate, det > 0) over the pivots
+    echelon = []  # (pivot, row) per point that extended the span, zero at earlier pivots
     for idx in order:
         v = coords[idx]
-        if matrix_rank([list(coords[i]) for i in lin] + [list(v)]) > len(lin):
-            cells = [cell + (idx,) for cell in cells] if cells else [(idx,)]
-            lin.append(idx)
-            continue
-        lin_vectors = [coords[i] for i in lin]
+        if len(echelon) < len(basis):
+            w = list(v)
+            for p, e in echelon:
+                if w[p]:
+                    w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
+            if any(w):
+                echelon.append((next(i for i, x in enumerate(w) if x), primitive(w)))
+                cells = [cell + (idx,) for cell in cells] if cells else [(idx,)]
+                inverses = [None] * len(cells)
+                continue
+        # the points so far span what the echelon rows span, which projects
+        # one to one onto their pivots, so every cell is invertible there
+        pivots = [p for p, _ in echelon]
+        vp = [v[p] for p in pivots]
         facet_owner = {}
-        for cell in cells:
-            for drop in cell:
+        for c, cell in enumerate(cells):
+            for j, drop in enumerate(cell):
                 facet = tuple(sorted(i for i in cell if i != drop))
-                facet_owner[facet] = None if facet in facet_owner else (cell, drop)
+                facet_owner[facet] = None if facet in facet_owner else (c, j)
         new_cells = []
         for facet, owner in sorted(facet_owner.items()):
             if owner is None:
                 continue
-            cell, drop = owner
-            normal = _facet_normal(
-                lin_vectors, [coords[i] for i in facet], coords[drop]
-            )
-            if normal is not None and dot(normal, v) > 0:
+            c, j = owner
+            if inverses[c] is None:
+                square = [[coords[i][p] for i in cells[c]] for p in pivots]
+                adj = adjugate(square)
+                inverses[c] = adj, dot(square[0], [r[0] for r in adj]) > 0
+            adj, positive = inverses[c]
+            # v has barycentric coordinates adj vp / det in the cell, and the
+            # facet opposite point j is visible exactly where coordinate j < 0
+            s = dot(adj[j], vp)
+            if s < 0 if positive else s > 0:
                 new_cells.append(facet + (idx,))
         cells.extend(new_cells)
+        inverses.extend([None] * len(new_cells))
     span_dim = len(basis)
     out = []
     for cell in cells:

@@ -1,0 +1,101 @@
+"""The placing triangulation before cached adjugates, kept as a test oracle.
+
+placing_triangulation here decides visibility from an outer facet normal,
+one kernel_line per boundary facet at every insertion, and tests each point
+for a new dimension with a rank computation over the whole independent set.
+The package's version reads both off barycentric coordinates and must give
+the same cells, in the same order, with the same determinants.
+"""
+
+from _vertex_oracle import kernel_line
+from hivecount.errors import InvariantError
+from hivecount.linalg import det, dot, identity, rank as matrix_rank
+from hivecount.triangulation import (
+    PointConfiguration,
+    SimplicialCell,
+    Triangulation,
+    _assert_pointed,
+    _span_coordinates,
+    span_lattice_basis,
+)
+
+
+def _facet_normal(lin_vectors, facet_vectors, opposite):
+    """Outer normal of a boundary facet, expressed in span coordinates.
+
+    The normal is constrained to the space spanned by lin_vectors so that
+    visibility is decided inside the current cone's own span.
+    """
+    rows = [[dot(f, lv) for lv in lin_vectors] for f in facet_vectors]
+    beta = kernel_line(rows) if rows else (1,)
+    if beta is None:
+        return None
+    k = len(lin_vectors[0])
+    normal = tuple(
+        sum(bt * lv[i] for bt, lv in zip(beta, lin_vectors)) for i in range(k)
+    )
+    side = dot(normal, opposite)
+    if side == 0:
+        raise InvariantError("cell vertex on its own facet hyperplane")
+    return tuple(-v for v in normal) if side > 0 else normal
+
+
+def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
+    """Incremental triangulation of cone(config) by insertion order."""
+    if not isinstance(config, PointConfiguration):
+        config = PointConfiguration(tuple(config))
+    pts = config.points
+    n = len(pts)
+    order = tuple(order) if order is not None else tuple(range(n))
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the point indices")
+    if not pointed:
+        _assert_pointed(pts)
+    m = config.ambient_dim
+    if matrix_rank(pts) == m:
+        basis = identity(m)
+        coords = list(pts)
+    else:
+        basis = span_lattice_basis(pts)
+        coords = [_span_coordinates(basis, p) for p in pts]
+
+    cells = []  # each a tuple of point indices, len == current dimension
+    lin = []  # indices of an independent spanning subset
+    for idx in order:
+        v = coords[idx]
+        if matrix_rank([list(coords[i]) for i in lin] + [list(v)]) > len(lin):
+            cells = [cell + (idx,) for cell in cells] if cells else [(idx,)]
+            lin.append(idx)
+            continue
+        lin_vectors = [coords[i] for i in lin]
+        facet_owner = {}
+        for cell in cells:
+            for drop in cell:
+                facet = tuple(sorted(i for i in cell if i != drop))
+                facet_owner[facet] = None if facet in facet_owner else (cell, drop)
+        new_cells = []
+        for facet, owner in sorted(facet_owner.items()):
+            if owner is None:
+                continue
+            cell, drop = owner
+            normal = _facet_normal(
+                lin_vectors, [coords[i] for i in facet], coords[drop]
+            )
+            if normal is not None and dot(normal, v) > 0:
+                new_cells.append(facet + (idx,))
+        cells.extend(new_cells)
+    span_dim = len(basis)
+    out = []
+    for cell in cells:
+        mat = [[coords[i][r] for i in cell] for r in range(span_dim)]
+        d = det(mat)
+        if d == 0:
+            raise InvariantError("degenerate cell in placing triangulation")
+        out.append(SimplicialCell(tuple(sorted(cell)), d))
+    return Triangulation(
+        config=config,
+        cells=tuple(out),
+        insertion_order=order,
+        span_basis=tuple(tuple(b) for b in basis),
+        coords=tuple(coords),
+    )

@@ -10,15 +10,49 @@ subsets, so use it on small systems only.  subset_supporting_cone takes every
 (dim - 1)-subset of the rows tight at a vertex and keeps the side of its
 kernel line that satisfies all of them.  _polar_generators runs the double
 description routine on the rows tight at one vertex and keeps the facets of
-its tangent cone.
+its tangent cone.  kernel_line, the integer kernel solve that the subset walk
+runs per subset, lives here because the package no longer calls it.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
-from hivecount.linalg import dot, kernel_line, primitive, vec_gcd
+from hivecount.linalg import dot, primitive, vec_gcd
 from hivecount.polyhedra import _extreme_rays
+
+
+def kernel_line(rows):
+    """Primitive integer kernel vector of rows with corank exactly one, else None."""
+    dim = len(rows[0])
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(dim):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                p, q = m[r][col], m[i][col]
+                m[i] = [p * x - q * y for x, y in zip(m[i], m[r])]
+                g = vec_gcd(m[i])
+                if g > 1:
+                    m[i] = [x // g for x in m[i]]
+        pivots.append(col)
+        r += 1
+    if r != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    # m is reduced: row i is zero in every pivot column but its own, so
+    # u[col_i] = -m[i][free] / m[i][col_i], scaled by the product of the pivots
+    scale = abs(prod(m[row_i][col] for row_i, col in enumerate(pivots)))
+    u = [0] * dim
+    u[free] = scale
+    for row_i, col in enumerate(pivots):
+        u[col] = -m[row_i][free] * (scale // m[row_i][col])
+    return primitive(u)
 
 
 def subset_vertices(rows, rhs, dim):

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,6 +23,20 @@ def test_count_plain(capsys):
     code, out, _ = run(capsys, "count", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1")
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_python_dash_m_runs_count(tmp_path):
+    """A source checkout runs the command line as python -m hivecount, with no install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hivecount", "count", "--lambda", "2,1", "--mu", "2,1",
+         "--nu", "3,2,1"],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
 
 
 def test_count_zero_coefficient_exits_zero(capsys):

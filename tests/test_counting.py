@@ -309,6 +309,33 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "triple, value, leaves",
+    [
+        (((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45)), 557744, 364),
+        (((935, 639, 283, 75, 48), (921, 683, 386, 136, 21), (1529, 1142, 743, 488, 225)),
+         1303088213330, 394),
+        (((859647, 444276, 283294, 33686, 24714), (482907, 437967, 280801, 79229, 26997),
+          (1120207, 699019, 624861, 351784, 157647)), 11711220003870071391294871475, 316),
+    ],
+)
+def test_paper_rows_leaf_counts(monkeypatch, triple, value, leaves):
+    """The polar decompositions of three paper rows keep their number of leaves."""
+    import hivecount.counting as counting
+
+    real = counting._vertex_leaves
+    sizes = []
+
+    def spy(apex, gens):
+        out = real(apex, gens)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(counting, "_vertex_leaves", spy)
+    assert lr_coefficient(make_triple(*triple)) == value
+    assert sum(sizes) == leaves
+
+
 def _primal_leaves(apex, gens):
     rays = _extreme_rays(gens, len(apex))
     return decompose_cone(VertexCone(apex, tuple(sorted(ray for ray, _ in rays))))

@@ -11,7 +11,6 @@ from hivecount.linalg import (
     dot,
     hermite_solve,
     integer_kernel,
-    kernel_line,
     lll_reduce,
     primitive,
     rank,
@@ -121,15 +120,6 @@ def test_hermite_solve_with_kernel():
     assert len(kernel) == 2
     for v in kernel:
         assert sum(v) == 0
-
-
-def test_kernel_line_corank_one():
-    v = kernel_line([[1, 0, -1], [0, 1, -1]])
-    assert v is not None
-    got = primitive(v)
-    assert got in ((1, 1, 1), (-1, -1, -1))
-    assert kernel_line([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is None
-    assert kernel_line([[1, 1, 1]]) is None  # kernel dimension 2, not a line
 
 
 @given(

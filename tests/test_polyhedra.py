@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _lp_oracle import fraction_simplex
-from _vertex_oracle import subset_supporting_cone, subset_vertices
+from _vertex_oracle import kernel_line, subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
 from hivecount.counting import hive_hrep
 from hivecount.errors import InfeasibleLatticeError
-from hivecount.linalg import dot, rank as matrix_rank
+from hivecount.linalg import dot, primitive, rank as matrix_rank
 from hivecount.polyhedra import (
     INFEASIBLE,
     OPTIMAL,
@@ -239,6 +239,15 @@ def test_enumerate_vertices_rank5_paper_row():
         assert all(dot(a, v) <= b for a, b in zip(chart.rows, chart.rhs))
         tight = [list(a) for a, b in zip(chart.rows, chart.rhs) if dot(a, v) == b]
         assert matrix_rank(tight) == chart.dim
+
+
+def test_kernel_line_corank_one():
+    v = kernel_line([[1, 0, -1], [0, 1, -1]])
+    assert v is not None
+    got = primitive(v)
+    assert got in ((1, 1, 1), (-1, -1, -1))
+    assert kernel_line([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is None
+    assert kernel_line([[1, 1, 1]]) is None  # kernel dimension 2, not a line
 
 
 @given(inequality_systems())

@@ -1,7 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+import _triangulation_oracle as oracle
 
 from hivecount import (
     PointConfiguration,
@@ -185,3 +189,58 @@ def test_cell_contains_rejects_outside_point():
     outside = cell_contains(tri, cell, (-1, 2))
     assert inside is not None
     assert outside is None
+
+
+def _cells(tri):
+    return [(cell.indices, cell.det) for cell in tri.cells]
+
+
+@st.composite
+def pointed_configurations(draw):
+    """(points, order): a pointed configuration in ambient dimension 2-6 and an insertion order.
+
+    The points are integer combinations of r drawn vectors, r from 1 to the
+    ambient dimension, so their rank is often below it.  Each is negated where
+    needed to make f . p > 0 for a drawn functional f, which makes the cone
+    pointed; up to two are repeated, and the order is any permutation.
+    """
+    m = draw(st.integers(2, 6))
+    r = draw(st.integers(1, m))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                            min_size=r, max_size=r))
+    f = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any))
+    points = []
+    for c in draw(st.lists(st.lists(st.integers(-2, 3), min_size=r, max_size=r),
+                           min_size=1, max_size=9)):
+        p = [dot(c, [v[i] for v in vectors]) for i in range(m)]
+        side = dot(f, p)
+        if side:
+            points.append(tuple(x if side > 0 else -x for x in p))
+    assume(points)
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return points, draw(st.permutations(range(len(points))))
+
+
+@given(pointed_configurations())
+@example(([(1, 0), (0, 1), (1, 1)], [2, 0, 1]))  # the two-cell fan
+@example(([(1, 1, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)], [3, 0, 2, 1]))  # rank 2 in 3, repeats
+@settings(max_examples=400, deadline=None)
+def test_placing_triangulation_matches_facet_normal_oracle(data):
+    """Barycentric visibility gives the cells, order and determinants of the facet normals."""
+    points, order = data
+    want = oracle.placing_triangulation(points, order=order)
+    assert _cells(placing_triangulation(points, order=order)) == _cells(want)
+    assert _cells(placing_triangulation(points, order=order, pointed=True)) == _cells(want)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_hive_triangulation_matches_facet_normal_oracle(rank):
+    tri = hive_triangulation(rank)
+    want = oracle.placing_triangulation(hive_matrix(rank), order=tri.insertion_order)
+    assert _cells(tri) == _cells(want)
+
+
+def test_hive_rank4_natural_order_spectrum():
+    # the determinant spectrum that the README quotes for the natural order
+    tri = placing_triangulation(hive_matrix(4))
+    assert Counter(abs(cell.det) for cell in tri.cells) == {1: 144, 2: 24, 4: 1}
