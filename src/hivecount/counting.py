@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, floor, lcm
+from math import ceil, comb, floor, gcd, lcm
 
 from .errors import (
     CapExceededError,
@@ -421,11 +421,16 @@ def _lowest_lattice_point(leaf, a, q):
     return tuple(point)
 
 
-def _leaf_series(leaf, a, q, direction, h_of, deg):
+def _leaf_series(leaf, a, q, direction, h_of, deg, emax):
     """Signed truncated series of the leaf's generating function at (1+s)^direction.
 
     The leaf's apex is a / q.  h_of caches, for each e = |direction . ray|,
-    the series ((1+s)^e - 1) / s, which leaves across the count share.
+    the series ((1+s)^e - 1) / s, which leaves across the count share, as one
+    int with coefficient k at bit width * k.  The coefficients are nonnegative,
+    so while each one of the product up to degree deg is below 2^width, the
+    masked int product packs the product series (Kronecker substitution).  For
+    E <= deg * emax the sum of the leaf's deg values e, coefficient k of the
+    product is at most C(E, k + deg) <= E^(2 deg).
     Returns (coefficients, scale): the series is coefficients / scale, with
     int coefficients and scale = P^(deg+1) for P the product of the
     |direction . ray| over the leaf's rays.
@@ -433,7 +438,9 @@ def _leaf_series(leaf, a, q, direction, h_of, deg):
     d = len(leaf.rays)
     exponent = dot(direction, _lowest_lattice_point(leaf, a, q))
     negatives = 0
-    denom = [1] + [0] * deg
+    width = 2 * deg * (deg * emax).bit_length() + 1
+    mask = (1 << width * (deg + 1)) - 1
+    packed = 1
     for u in leaf.rays:
         e = dot(direction, u)
         if e == 0:
@@ -444,11 +451,25 @@ def _leaf_series(leaf, a, q, direction, h_of, deg):
             exponent += e
         h = h_of.get(e)
         if h is None:
-            h = h_of[e] = [comb(e, k + 1) for k in range(deg + 1)]
-        denom = _series_mul(denom, h, deg)
+            h = h_of[e] = sum(comb(e, k + 1) << width * k for k in range(deg + 1))
+        packed = packed * h & mask
+    denom = [packed >> width * k & (1 << width) - 1 for k in range(deg + 1)]
     series = _series_mul(_binomial_series(exponent, deg), _scaled_inverse(denom, deg), deg)
     sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
     return [sgn * v for v in series], denom[0] ** (deg + 1)
+
+
+def _pairwise_total(sums):
+    """[sum of acc[k] / scale over sums' items (scale, acc)], merged two at a time over lcm."""
+    level = list(sums.items())
+    while len(level) > 1:
+        merged = []
+        for (s, x), (t, y) in zip(level[::2], level[1::2]):
+            g = gcd(s, t)
+            merged.append((s // g * t, [u * (t // g) + v * (s // g) for u, v in zip(x, y)]))
+        level = merged + level[len(merged) * 2 :]
+    scale, acc = level[0]
+    return [Fraction(c, scale) for c in acc]
 
 
 def _specialization_direction(all_rays, dim, seed):
@@ -490,6 +511,7 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     ]
     ray_set = sorted({u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays})
     direction = _specialization_direction(ray_set, d, seed)
+    emax = max(abs(dot(direction, u)) for u in ray_set)
     h_of = {}
     sums = {}  # scale -> sum of the int series of the leaves with that scale
     while vertex_leaves:
@@ -498,11 +520,11 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         q = lcm(*[c.denominator for c in v])
         a = [c.numerator * (q // c.denominator) for c in v]
         for leaf in leaves:
-            series, scale = _leaf_series(leaf, a, q, direction, h_of, d)
+            series, scale = _leaf_series(leaf, a, q, direction, h_of, d, emax)
             acc = sums.setdefault(scale, [0] * (d + 1))
             for k, c in enumerate(series):
                 acc[k] += c
-    total = [sum(Fraction(acc[k], scale) for scale, acc in sums.items()) for k in range(d + 1)]
+    total = _pairwise_total(sums)
     if any(total[k] != 0 for k in range(d)):
         raise InvariantError(f"loose Laurent terms in specialization: {total[:d]}")
     value = total[d]

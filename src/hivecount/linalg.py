@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InfeasibleLatticeError
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def identity(n):
@@ -93,9 +94,14 @@ def adjugate(rows):
     division is exact, and it ends at [det(PA) I | det(PA) (PA)^-1 P] for the
     row permutation P, whose right block is sign(P) * adj(A).  A singular A
     has no full set of pivots; its adjugate comes from the cofactors.
+
+    Step k updates only the left columns right of k and the right columns of
+    the rows pivoted so far (orig holds each row's index in A); elsewhere a
+    row holds zeros and, at its diagonal or unit column, the last pivot.
     """
     n = len(rows)
     m = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
+    orig = list(range(n))
     sign = 1
     prev = 1
     for k in range(n):
@@ -111,13 +117,19 @@ def adjugate(rows):
             ]
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
+            orig[k], orig[piv] = orig[piv], orig[k]
             sign = -sign
         pk = m[k]
         p = pk[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * a - f * c) // prev for a, c in zip(m[i], pk)]
+        live = [*range(k + 1, n), *[n + o for o in orig[: k + 1]]]
+        for i, row in enumerate(m):
+            f = row[k]
+            if i == k or not f and p == prev:
+                continue
+            for c in live:
+                row[c] = (p * row[c] - f * pk[c]) // prev
+            row[k] = 0
+            row[i if i < k else n + orig[i]] = p
         prev = p
     return [[sign * v for v in row[n:]] for row in m]
 

@@ -131,7 +131,7 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
         coords = [_span_coordinates(basis, p) for p in pts]
 
     cells = []  # each a tuple of point indices, len == current dimension
-    inverses = []  # per cell, once needed: (adjugate, det > 0) over the pivots
+    inverses = []  # per cell, once needed: (adjugate, determinant) over the pivots
     echelon = []  # (pivot, row) per point that extended the span, zero at earlier pivots
     for idx in order:
         v = coords[idx]
@@ -162,20 +162,26 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
             if inverses[c] is None:
                 square = [[coords[i][p] for i in cells[c]] for p in pivots]
                 adj = adjugate(square)
-                inverses[c] = adj, dot(square[0], [r[0] for r in adj]) > 0
-            adj, positive = inverses[c]
-            # v has barycentric coordinates adj vp / det in the cell, and the
+                inverses[c] = adj, dot(square[0], [r[0] for r in adj])
+            adj, d = inverses[c]
+            # v has barycentric coordinates adj vp / d in the cell, and the
             # facet opposite point j is visible exactly where coordinate j < 0
             s = dot(adj[j], vp)
-            if s < 0 if positive else s > 0:
+            if s < 0 if d > 0 else s > 0:
                 new_cells.append(facet + (idx,))
         cells.extend(new_cells)
         inverses.extend([None] * len(new_cells))
     span_dim = len(basis)
+    # the pivots now permute the span coordinates: a determinant cached over
+    # them is the cell's times the sign of that permutation
+    pivots = [p for p, _ in echelon]
+    sign = (-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
     out = []
-    for cell in cells:
-        mat = [[coords[i][r] for i in cell] for r in range(span_dim)]
-        d = det(mat)
+    for cell, inverse in zip(cells, inverses):
+        if inverse is None:
+            d = det([[coords[i][r] for i in cell] for r in range(span_dim)])
+        else:
+            d = sign * inverse[1]
         if d == 0:
             raise InvariantError("degenerate cell in placing triangulation")
         out.append(SimplicialCell(tuple(sorted(cell)), d))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reduce_oracle import lp_reduce_bounded
+from _series_oracle import leaf_series_unpacked, per_scale_total
 from _vertex_oracle import _polar_generators
 from hivecount import (
     BARVINOK,
@@ -25,7 +26,14 @@ from hivecount import (
     lr_tableau_count,
     make_triple,
 )
-from hivecount.counting import NAIVE_DIMENSION_CAP, _iter_chart_points, _reduce
+from hivecount.counting import (
+    NAIVE_DIMENSION_CAP,
+    SignedUnimodularCone,
+    _iter_chart_points,
+    _leaf_series,
+    _pairwise_total,
+    _reduce,
+)
 from hivecount.linalg import dot
 from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices
 
@@ -334,6 +342,82 @@ def test_paper_rows_leaf_counts(monkeypatch, triple, value, leaves):
     monkeypatch.setattr(counting, "_vertex_leaves", spy)
     assert lr_coefficient(make_triple(*triple)) == value
     assert sum(sizes) == leaves
+
+
+@pytest.mark.parametrize(
+    "triple, value, leaves",
+    [
+        (((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (11, 9, 8, 6, 4, 4)), 30, 2552),
+        (((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (10, 10, 8, 7, 4, 3)), 18, 554),
+    ],
+)
+def test_rank6_rows_leaf_counts(monkeypatch, triple, value, leaves):
+    """Two rank-6 rows, whose final sums merge many scales, keep their counts and leaves."""
+    test_paper_rows_leaf_counts(monkeypatch, triple, value, leaves)
+
+
+def _packed_inputs(d):
+    """(e values, each at most emax, often equal to it; emax; ray signs; apex)."""
+    return st.integers(1, 10**6).flatmap(
+        lambda emax: st.tuples(
+            st.lists(st.one_of(st.just(emax), st.integers(1, emax)), min_size=d, max_size=d),
+            st.just(emax),
+            st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d),
+            st.lists(st.integers(-50, 50), min_size=d, max_size=d),
+        )
+    )
+
+
+@given(st.integers(1, 12).flatmap(_packed_inputs), st.sampled_from((1, -1)))
+@example(([10**6] * 12, 10**6, [1] * 12, [0] * 12), 1)
+@example(([10**6] * 12, 10**6, [-1, 1] * 6, [7] * 12), -1)
+@example(([1] * 3, 1, [1, 1, -1], [0, 1, 2]), 1)
+@settings(max_examples=200, deadline=None)
+def test_leaf_series_packed_matches_series_mul(inputs, sign):
+    """The denominator product packed into ints equals the _series_mul chain.
+
+    The leaf's rays are e_i times the unit vectors, so direction (1, ..., 1)
+    meets ray i at +-e_i; _leaf_series reads only its sign, rays and lowest
+    point, which at q = 1 is the apex.
+    """
+    es, emax, signs, a = inputs
+    d = len(es)
+    rays = tuple(
+        tuple(s * e if j == i else 0 for j in range(d)) for i, (e, s) in enumerate(zip(es, signs))
+    )
+    unit = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    leaf = SignedUnimodularCone(sign, tuple(a), rays, (False,) * d, unit)
+    direction = (1,) * d
+    expected = leaf_series_unpacked(leaf, a, 1, direction, d)
+    h_of = {}
+    assert _leaf_series(leaf, a, 1, direction, h_of, d, emax) == expected
+    # a second leaf reads the packed series cached by the first
+    assert _leaf_series(leaf, a, 1, direction, h_of, d, emax) == expected
+
+
+scales = st.one_of(
+    st.integers(1, 10**6),
+    st.sampled_from((2, 3, 4, 6, 12, 35, 2**64, 3**40 * 5)),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.dictionaries(
+            scales,
+            st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n),
+            min_size=1,
+            max_size=41,
+        )
+    )
+)
+@example({7: [3, -2]})
+@example({2: [1, 0], 3: [1, 1], 6: [-5, 1]})
+@example({4: [1], 6: [1], 9: [1], 35: [2], 2**64: [-1]})
+@settings(max_examples=200, deadline=None)
+def test_pairwise_total_matches_per_scale_fractions(sums):
+    """One scale, odd and even scale counts, shared and coprime scales."""
+    assert _pairwise_total(sums) == per_scale_total(sums)
 
 
 def _primal_leaves(apex, gens):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from _lll_oracle import adjugate_cofactor, lll_reduce_fraction
 from hivecount.linalg import (
@@ -176,4 +176,22 @@ def test_lll_rejects_dependent_rows(rows, coeffs, at):
 @settings(max_examples=200, deadline=None)
 def test_adjugate_matches_cofactor_oracle(m):
     assume(det(m) != 0)
+    assert adjugate(m) == adjugate_cofactor(m)
+
+
+sparse_entry = st.sampled_from((0,) * 12 + (1, -1, 2, -2))
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(sparse_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+# the last pivot, 2, meets row 0 with no entry in its column: that row must
+# still be rescaled from the previous pivot, 1
+@example([[1, 0], [0, 2]])
+@example([[0, 1, 0], [2, 0, 0], [0, 1, -2]])
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_cofactor_oracle_on_sparse(m):
+    """Mostly zero matrices, singular ones included, skip most rows at most steps."""
     assert adjugate(m) == adjugate_cofactor(m)
