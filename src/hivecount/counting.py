@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, floor, gcd, lcm
+from math import ceil, comb, floor, gcd
 
 from .errors import (
     CapExceededError,
@@ -35,7 +35,7 @@ from .errors import (
     UnboundedError,
 )
 from .hives import build_hive_polytope
-from .linalg import adjugate, dot, lll_reduce, primitive, rank, vec_gcd
+from .linalg import adjugate, dot, lll_reduce, primitive, rank, replace_column, vec_gcd
 # enumerate_vertices and supporting_cone are not called here, but
 # perfbench/tracing.py hooks them under this module's name, and a name it
 # cannot hook drops per-layer metrics that perfbench/selftest.py requires
@@ -118,9 +118,9 @@ def _reduce(poly: HRepPolytope):
     equality on all of poly.  Those implicit equalities are imposed with one
     restrict_chart, whose lattice may be empty, and a second pass reads the
     vertices of the restricted chart.  The vertices come sorted as
-    (vertex, tight) pairs: the vertex a tuple of Fraction in the coordinates
-    of the returned chart, bit i of tight set when chart.rows[i] holds with
-    equality there.
+    (ray, tight) pairs: ray the primitive int vector (q v, q) of the vertex v
+    in the coordinates of the returned chart (see vertex_of), bit i of tight
+    set when chart.rows[i] holds with equality there.
 
     Raises UnboundedError when poly is unbounded and has lattice points.
     """
@@ -143,7 +143,7 @@ def _reduce(poly: HRepPolytope):
             rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
     except InfeasibleLatticeError:
         return None
-    return chart, sorted((vertex_of(ray), mask) for ray, mask in rays)
+    return chart, sorted(rays)
 
 
 def _iter_chart_points(rows, rhs, dim):
@@ -244,19 +244,18 @@ def _short_vector(adj, target):
     return best[1]
 
 
-def _barvinok_recurse(sign, rays, y, apex, out):
+def _barvinok_recurse(sign, rays, adj, D, y, apex, out):
     """Barvinok's signed short-vector decomposition of cone(rays) into out.
 
-    With an interior direction y, each unimodular leaf is cone(rays) made
-    half-open along y, and a direction on a facet or ray hyperplane raises
+    adj and D are the adjugate and determinant of the matrix with columns
+    rays; each child's come from its parent's by a rank-one update.  With an
+    interior direction y, each unimodular leaf is cone(rays) made half-open
+    along y, and a direction on a facet or ray hyperplane raises
     _DegenerateDirection.  With y None the rays generate a piece of a polar
     cone: pieces of lower dimension are dropped, and each leaf is the closed
     polar {x : g . x <= 0 for every generator g} of its cone.
     """
     d = len(rays)
-    U = [[rays[j][i] for j in range(d)] for i in range(d)]
-    adj = adjugate(U)
-    D = dot(U[0], [row[0] for row in adj])
     sgn_d = 1 if D > 0 else -1
     if y is not None:
         checks = [sgn_d * dot(row, y) for row in adj]
@@ -267,9 +266,9 @@ def _barvinok_recurse(sign, rays, y, apex, out):
             # for G the generators as rows the polar's rays are the columns of
             # -G^-1, the rows of -D * adj, and the inverse of their matrix is -G
             leaf = (
-                tuple(tuple(-D * v for v in row) for row in adj),
+                tuple([tuple([-D * v for v in row]) for row in adj]),
                 (False,) * d,
-                tuple(tuple(-v for v in g) for g in rays),
+                tuple([tuple([-v for v in g]) for g in rays]),
             )
         else:
             leaf = (
@@ -281,8 +280,8 @@ def _barvinok_recurse(sign, rays, y, apex, out):
         return
     b = _short_vector(adj, abs(D))
     w = []
-    for i in range(d):
-        num = dot(U[i], b)
+    for row in zip(*rays):
+        num = dot(row, b)
         if num % D:
             raise InvariantError("short vector left the adjugate lattice")
         w.append(num // D)
@@ -293,14 +292,24 @@ def _barvinok_recurse(sign, rays, y, apex, out):
     if all(v * sgn_d <= 0 for v in b):
         b = tuple(-v for v in b)
         w = [-v for v in w]
+    # adj w = b: the child with ray i replaced by w has determinant b[i]
     w = tuple(w)
     for i in range(d):
         if b[i] == 0:
             continue
-        child = list(rays)
-        child[i] = w
         child_sign = sign if (b[i] > 0) == (D > 0) else -sign
-        _barvinok_recurse(child_sign, tuple(child), y, apex, out)
+        child = rays[:i] + (w,) + rays[i + 1 :]
+        _barvinok_recurse(child_sign, child, *replace_column(adj, D, i, b), y, apex, out)
+
+
+def _simplicial_cells(gens, pointed):
+    """(generators, adjugate, determinant) per cell triangulating a full-dimensional cone(gens)."""
+    if len(gens) == len(gens[0]):
+        rows = [list(row) for row in zip(*gens)]
+        adj = adjugate(rows)
+        return [(tuple(gens), adj, dot(rows[0], [r[0] for r in adj]))]
+    tri = placing_triangulation(gens, pointed=pointed)
+    return [(tuple(gens[i] for i in c.indices), c.adjugate, c.det) for c in tri.cells]
 
 
 def decompose_cone(cone: VertexCone, seed: int = 0):
@@ -313,18 +322,13 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     rays = cone.rays
     if not rays:
         return [SignedUnimodularCone(1, cone.apex, (), (), ())]
-    d = len(rays[0])
-    if len(rays) == d:
-        cells = [rays]
-    else:
-        tri = placing_triangulation(rays)
-        cells = [tuple(rays[i] for i in cell.indices) for cell in tri.cells]
+    cells = _simplicial_cells(rays, pointed=False)
     for attempt in range(64):
         y = _interior_direction(rays, attempt, seed)
         out = []
         try:
             for cell in cells:
-                _barvinok_recurse(1, cell, y, cone.apex, out)
+                _barvinok_recurse(1, *cell, y, cone.apex, out)
             return out
         except _DegenerateDirection:
             # keeping the exception would keep its traceback, whose frames
@@ -353,17 +357,12 @@ def _facet_mask(tight_masks, nrows):
 def _vertex_leaves(apex, gens):
     """Closed signed unimodular cones at apex summing to cone(gens)'s polar modulo cones with lines.
 
-    gens are the primitive facet rows through apex, so that polar is the tangent cone.
+    gens are the primitive facet rows through apex, so that polar is the tangent
+    cone, and the polar of a full-dimensional cone is pointed.
     """
-    if len(gens) == len(apex):
-        cells = [gens]
-    else:
-        # the polar of a full-dimensional cone is pointed
-        tri = placing_triangulation(gens, pointed=True)
-        cells = [[gens[i] for i in cell.indices] for cell in tri.cells]
     out = []
-    for cell in cells:
-        _barvinok_recurse(1, cell, None, apex, out)
+    for cell in _simplicial_cells(gens, pointed=True):
+        _barvinok_recurse(1, *cell, None, apex, out)
     return out
 
 
@@ -406,8 +405,11 @@ def _lowest_lattice_point(leaf, a, q):
 
     With the leaf's apex a / q for an int vector a, coordinate i of the point
     along the rays exceeds the apex's by r_i / q, the fractional part of minus
-    the apex's coordinate, taken as 1 on an open facet.
+    the apex's coordinate, taken as 1 on an open facet: at an integral apex of
+    a closed leaf, the apex itself.
     """
+    if q == 1 and not any(leaf.open_facets):
+        return a
     shifts = []
     for row, is_open in zip(leaf.inverse, leaf.open_facets):
         r = -dot(row, a) % q
@@ -505,10 +507,10 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         return CountResult(1, BARVINOK)
     gens = [primitive(a) for a in chart.rows]
     facets = _facet_mask([mask for _, mask in vertices], len(gens))
-    vertex_leaves = [
-        (v, _vertex_leaves(v, [g for k, g in enumerate(gens) if (mask & facets) >> k & 1]))
-        for v, mask in vertices
-    ]
+    vertex_leaves = []
+    for ray, mask in vertices:
+        facet_rows = [g for k, g in enumerate(gens) if (mask & facets) >> k & 1]
+        vertex_leaves.append((ray, _vertex_leaves(vertex_of(ray), facet_rows)))
     ray_set = sorted({u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays})
     direction = _specialization_direction(ray_set, d, seed)
     emax = max(abs(dot(direction, u)) for u in ray_set)
@@ -516,9 +518,8 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     sums = {}  # scale -> sum of the int series of the leaves with that scale
     while vertex_leaves:
         # popped, each vertex's leaves are freed once summed, so sums adds no peak memory
-        v, leaves = vertex_leaves.pop()
-        q = lcm(*[c.denominator for c in v])
-        a = [c.numerator * (q // c.denominator) for c in v]
+        ray, leaves = vertex_leaves.pop()
+        a, q = ray[:-1], ray[-1]
         for leaf in leaves:
             series, scale = _leaf_series(leaf, a, q, direction, h_of, d, emax)
             acc = sums.setdefault(scale, [0] * (d + 1))

@@ -2,9 +2,9 @@
 
 Everything here is deterministic and division-free where possible: Bareiss
 elimination for determinants and ranks, one fraction-free (Bareiss)
-Gauss-Jordan elimination for the adjugate, which also gives rational solves,
-column-style Hermite reduction for integral solves and kernel bases, and an
-integral LLL reduction used by the cone decomposition.
+Gauss-Jordan elimination for the adjugate, exact rank-one and bordering
+updates of an adjugate, column-style Hermite reduction for integral solves and
+kernel bases, and an integral LLL reduction used by the cone decomposition.
 """
 
 from __future__ import annotations
@@ -134,16 +134,32 @@ def adjugate(rows):
     return [[sign * v for v in row[n:]] for row in m]
 
 
-def solve_square(rows, b):
-    """Solve A x = b exactly for square A; None when A is singular.
+def replace_column(adj, d, i, b):
+    """(adjugate, determinant) once column i of a matrix with (adj, d != 0) becomes w, b = adj w.
 
-    x = adj(A) b / det(A), with det(A) read off row 0 of A @ adj(A).
+    Row i stays, row k becomes (b_i adj_k - b_k adj_i) / d, an exact division,
+    and the determinant is b_i.
     """
-    adj = adjugate(rows)
-    d = dot(rows[0], [r[0] for r in adj])
-    if d == 0:
-        return None
-    return [Fraction(dot(r, b), d) for r in adj]
+    ai, bi = adj[i], b[i]
+    return [
+        row if k == i else [(bi * x - bk * y) // d for x, y in zip(row, ai)]
+        for k, (row, bk) in enumerate(zip(adj, b))
+    ], bi
+
+
+def add_row_column(adj, d, col, row, corner):
+    """(adjugate, determinant) of [[A, col], [row, corner]] from those (adj, d != 0) of A.
+
+    With beta = adj col and alpha = row adj, the determinant is d corner - row beta = delta
+    and the adjugate [[(delta adj + beta alpha) / d, -beta], [-alpha, d]], divisions exact.
+    """
+    beta = [dot(r, col) for r in adj]
+    alpha = [dot(row, c) for c in zip(*adj)]
+    delta = d * corner - dot(row, beta)
+    return [
+        [(delta * x + bk * ak) // d for x, ak in zip(r, alpha)] + [-bk]
+        for r, bk in zip(adj, beta)
+    ] + [[-ak for ak in alpha] + [d]], delta
 
 
 def hermite_solve(rows, b):

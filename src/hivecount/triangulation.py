@@ -8,21 +8,21 @@ the configuration is not full-dimensional in ambient space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegenerateSpanError, InvariantError, NoUnimodularCellError
 from .hives import build_hive_polytope, homogenize
 from .linalg import (
-    adjugate,
-    det,
+    add_row_column,
     dot,
     hermite_solve,
     identity,
     integer_kernel,
     primitive,
     rank as matrix_rank,
-    solve_square,
+    replace_column,
 )
 from .polyhedra import INFEASIBLE, OPTIMAL, lp_standard
 from .weights import make_triple
@@ -51,10 +51,15 @@ class PointConfiguration:
 
 @dataclass(frozen=True)
 class SimplicialCell:
-    """Indices (0-based) of a maximal simplicial subcone and its determinant."""
+    """Indices (0-based) of a maximal simplicial subcone, its determinant and adjugate.
+
+    Both are of the matrix whose columns are the cell's points, in index order,
+    in span coordinates.
+    """
 
     indices: tuple
     det: int
+    adjugate: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,38 @@ def _assert_pointed(points):
         raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
 
 
+def _echelon_pivots(coords, order):
+    """{idx: pivot} for each point in order outside the span of those before it.
+
+    Each such point is reduced to a primitive echelon row, zero at every
+    earlier pivot, so the rows project one to one onto their pivots.
+    """
+    echelon = []
+    pivot_of = {}
+    for idx in order:
+        w = list(coords[idx])
+        for p, e in echelon:
+            if w[p]:
+                w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
+        if any(w):
+            pivot_of[idx] = p = next(i for i, x in enumerate(w) if x)
+            echelon.append((p, primitive(w)))
+            if len(echelon) == len(w):
+                break
+    return pivot_of
+
+
 def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order.
 
     Each generator is inserted in turn; one that extends the dimension joins
     every existing cell, one inside the current cone changes nothing, and one
     outside is joined to the strictly visible boundary facets: those opposite
-    a negative barycentric coordinate of the point in their cell.  A caller that
-    knows cone(config) to be pointed passes pointed=True to skip the LP that
-    checks it.
+    a negative barycentric coordinate of the point in their cell.  Each cell's
+    adjugate comes from an earlier one, bordered by a row and a column or
+    updated in one column, with no elimination.  A caller that knows
+    cone(config) to be pointed passes pointed=True to skip the LP that checks
+    it.
     """
     if not isinstance(config, PointConfiguration):
         config = PointConfiguration(tuple(config))
@@ -122,69 +150,64 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     if not pointed:
         _assert_pointed(pts)
     m = config.ambient_dim
-    if matrix_rank(pts) == m:
+    pivot_of = _echelon_pivots(pts, order)
+    if len(pivot_of) == m:
         # the span is all of Q^m, and its lattice Z^m
         basis = identity(m)
         coords = list(pts)
     else:
         basis = span_lattice_basis(pts)
         coords = [_span_coordinates(basis, p) for p in pts]
+        pivot_of = _echelon_pivots(coords, order)
 
-    cells = []  # each a tuple of point indices, len == current dimension
-    inverses = []  # per cell, once needed: (adjugate, determinant) over the pivots
-    echelon = []  # (pivot, row) per point that extended the span, zero at earlier pivots
+    cells = [()]  # each a tuple of point indices, len == current dimension
+    inverses = [([], 1)]  # per cell, (adjugate, determinant) over the pivots
+    pivots = []  # pivots of the points so far that extended the span
     for idx in order:
-        v = coords[idx]
-        if len(echelon) < len(basis):
-            w = list(v)
-            for p, e in echelon:
-                if w[p]:
-                    w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
-            if any(w):
-                echelon.append((next(i for i, x in enumerate(w) if x), primitive(w)))
-                cells = [cell + (idx,) for cell in cells] if cells else [(idx,)]
-                inverses = [None] * len(cells)
-                continue
-        # the points so far span what the echelon rows span, which projects
+        # the points so far span what their echelon rows span, which projects
         # one to one onto their pivots, so every cell is invertible there
-        pivots = [p for p, _ in echelon]
+        v = coords[idx]
         vp = [v[p] for p in pivots]
+        if idx in pivot_of:
+            # every cell gains the point as a column and its pivot as a row
+            p = pivot_of[idx]
+            inverses = [
+                add_row_column(adj, d, vp, [coords[i][p] for i in cell], v[p])
+                for cell, (adj, d) in zip(cells, inverses)
+            ]
+            cells = [cell + (idx,) for cell in cells]
+            pivots.append(p)
+            continue
         facet_owner = {}
         for c, cell in enumerate(cells):
             for j, drop in enumerate(cell):
                 facet = tuple(sorted(i for i in cell if i != drop))
                 facet_owner[facet] = None if facet in facet_owner else (c, j)
-        new_cells = []
         for facet, owner in sorted(facet_owner.items()):
             if owner is None:
                 continue
             c, j = owner
-            if inverses[c] is None:
-                square = [[coords[i][p] for i in cells[c]] for p in pivots]
-                adj = adjugate(square)
-                inverses[c] = adj, dot(square[0], [r[0] for r in adj])
+            cell = cells[c]
             adj, d = inverses[c]
             # v has barycentric coordinates adj vp / d in the cell, and the
             # facet opposite point j is visible exactly where coordinate j < 0
             s = dot(adj[j], vp)
             if s < 0 if d > 0 else s > 0:
-                new_cells.append(facet + (idx,))
-        cells.extend(new_cells)
-        inverses.extend([None] * len(new_cells))
-    span_dim = len(basis)
-    # the pivots now permute the span coordinates: a determinant cached over
-    # them is the cell's times the sign of that permutation
-    pivots = [p for p, _ in echelon]
+                cells.append(cell[:j] + (idx,) + cell[j + 1 :])
+                inverses.append(replace_column(adj, d, j, [dot(row, vp) for row in adj]))
+    # the pivots are a permutation of the span coordinates: putting the rows
+    # of each square in coordinate order, and its columns in index order,
+    # permutes its adjugate's columns and rows and multiplies both by the signs
+    unpivot = sorted(range(len(pivots)), key=pivots.__getitem__)
     sign = (-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
     out = []
-    for cell, inverse in zip(cells, inverses):
-        if inverse is None:
-            d = det([[coords[i][r] for i in cell] for r in range(span_dim)])
-        else:
-            d = sign * inverse[1]
+    for cell, (adj, d) in zip(cells, inverses):
         if d == 0:
             raise InvariantError("degenerate cell in placing triangulation")
-        out.append(SimplicialCell(tuple(sorted(cell)), d))
+        sgn = sign * (-1) ** sum(a > b for i, a in enumerate(cell) for b in cell[i + 1 :])
+        rows = sorted(range(len(cell)), key=cell.__getitem__)
+        adj = tuple([tuple([sgn * adj[k][c] for c in unpivot]) for k in rows])
+        out.append(SimplicialCell(tuple(cell[k] for k in rows), sgn * d, adj))
     return Triangulation(
         config=config,
         cells=tuple(out),
@@ -203,12 +226,8 @@ def is_unimodular(tri: Triangulation):
 
 
 def cell_contains(tri: Triangulation, cell: SimplicialCell, target_coords):
-    """Barycentric solve: coefficients of target over the cell, or None."""
-    span_dim = tri.span_dim
-    mat = [[tri.coords[i][r] for i in cell.indices] for r in range(span_dim)]
-    sol = solve_square(mat, list(target_coords))
-    if sol is None:
-        return None
+    """Coefficients adj target / det of target over the cell, or None outside it."""
+    sol = [Fraction(dot(row, target_coords), cell.det) for row in cell.adjugate]
     return sol if all(c >= 0 for c in sol) else None
 
 

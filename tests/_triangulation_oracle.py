@@ -4,7 +4,8 @@ placing_triangulation here decides visibility from an outer facet normal,
 one kernel_line per boundary facet at every insertion, and tests each point
 for a new dimension with a rank computation over the whole independent set.
 The package's version reads both off barycentric coordinates and must give
-the same cells, in the same order, with the same determinants.
+the same cells, in the same order, with the same determinants: each taken
+over the cell's points in the order of its sorted indices.
 """
 
 from _vertex_oracle import kernel_line
@@ -86,12 +87,12 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
         cells.extend(new_cells)
     span_dim = len(basis)
     out = []
-    for cell in cells:
+    for cell in map(sorted, cells):
         mat = [[coords[i][r] for i in cell] for r in range(span_dim)]
         d = det(mat)
         if d == 0:
             raise InvariantError("degenerate cell in placing triangulation")
-        out.append(SimplicialCell(tuple(sorted(cell)), d))
+        out.append(SimplicialCell(tuple(cell), d))
     return Triangulation(
         config=config,
         cells=tuple(out),

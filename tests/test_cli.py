@@ -213,8 +213,12 @@ def test_invariant_failure_exits_three(monkeypatch, capsys):
 def test_triangulation_invariant_failure_exits_three(tmp_path, monkeypatch, capsys):
     import hivecount.triangulation as triangulation
 
-    # every cell of the placing triangulation then fails the determinant check
-    monkeypatch.setattr(triangulation, "det", lambda mat: 0)
+    # every cell then has determinant 0 and a zero adjugate from its bordering,
+    # so no later point sees a facet, and every cell fails the determinant check
+    def degenerate(adj, d, col, row, corner):
+        return [[0] * (len(col) + 1)] * (len(col) + 1), 0
+
+    monkeypatch.setattr(triangulation, "add_row_column", degenerate)
     triangulation.hive_triangulation.cache_clear()
     out_file = tmp_path / "r3.txt"
     code, out, err = run(capsys, "triangulate", "--rank", "3", "--out", str(out_file))

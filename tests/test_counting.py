@@ -34,8 +34,8 @@ from hivecount.counting import (
     _pairwise_total,
     _reduce,
 )
-from hivecount.linalg import dot
-from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices
+from hivecount.linalg import dot, vec_gcd
+from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices, vertex_of
 
 
 def box_poly(bounds):
@@ -317,6 +317,32 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
     assert len(calls) == 2
 
 
+def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
+    """On the 557744 row only the polar cones of simple vertices take an elimination.
+
+    The 179 cells of the other vertices' triangulations get their adjugates
+    from the triangulation, and every child in the recursion from its parent.
+    """
+    import hivecount.counting as counting
+    import hivecount.triangulation as triangulation
+
+    # the DD pass takes one more elimination, under polyhedra's own name
+    assert not hasattr(triangulation, "adjugate")
+    real = counting.adjugate
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(counting, "adjugate", counted)
+    paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
+    assert lr_coefficient(paper_row) == 557744
+    # one per simple vertex, each on the chart's dimension, 6
+    assert len(calls) == 161
+    assert set(calls) == {6}
+
+
 @pytest.mark.parametrize(
     "triple, value, leaves",
     [
@@ -506,7 +532,7 @@ def _count_generators(poly):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_vertex_leaves", spy)
         count_barvinok(poly)
-    assert [apex for apex, _ in seen] == [v for v, _ in vertices]
+    assert [apex for apex, _ in seen] == [vertex_of(ray) for ray, _ in vertices]
     return chart, [
         ([a for a, b in zip(chart.rows, chart.rhs) if dot(a, apex) == b], gens)
         for apex, gens in seen
@@ -627,9 +653,11 @@ def test_reduce_matches_lp_oracle(poly):
     chart, vertices = got
     assert chart.dim == want.dim
     assert _ambient_points(chart) == _ambient_points(want)
-    assert {chart.to_ambient(v) for v, _ in vertices} == {
+    assert {chart.to_ambient(vertex_of(ray)) for ray, _ in vertices} == {
         want.to_ambient(v) for v in enumerate_vertices(want.rows, want.rhs, want.dim)
     }
-    for v, mask in vertices:
+    for ray, mask in vertices:
+        assert ray[-1] > 0 and vec_gcd(ray) == 1
+        v = vertex_of(ray)
         rows = zip(chart.rows, chart.rhs)
         assert mask == sum(1 << k for k, (a, b) in enumerate(rows) if dot(a, v) == b)

@@ -1,11 +1,11 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _lll_oracle import adjugate_cofactor, lll_reduce_fraction
 from hivecount.linalg import (
+    add_row_column,
     adjugate,
     det,
     dot,
@@ -14,7 +14,7 @@ from hivecount.linalg import (
     lll_reduce,
     primitive,
     rank,
-    solve_square,
+    replace_column,
     vec_gcd,
 )
 
@@ -66,19 +66,6 @@ def test_vec_gcd_and_primitive():
     assert vec_gcd((4, -6, 10)) == 2
     assert vec_gcd((0, 0)) == 0
     assert primitive((4, -6, 10)) == (2, -3, 5)
-
-
-@given(st.integers(2, 4).flatmap(square_matrices))
-@settings(max_examples=60)
-def test_solve_square_when_invertible(m):
-    n = len(m)
-    if det(m) == 0:
-        assert True
-        return
-    x = [Fraction(i + 1, 2) for i in range(n)]
-    b = [sum(Fraction(m[i][j]) * x[j] for j in range(n)) for i in range(n)]
-    sol = solve_square(m, b)
-    assert sol == x
 
 
 def test_rank_basics():
@@ -195,3 +182,60 @@ sparse_entry = st.sampled_from((0,) * 12 + (1, -1, 2, -2))
 def test_adjugate_matches_cofactor_oracle_on_sparse(m):
     """Mostly zero matrices, singular ones included, skip most rows at most steps."""
     assert adjugate(m) == adjugate_cofactor(m)
+
+
+@st.composite
+def column_replacements(draw):
+    """(A, i, w): a nonsingular A, n <= 6, entries in [-9, 9], and w for its column i.
+
+    w is a drawn vector times a drawn factor from 1 to 4, so that, as in the
+    Barvinok recursion, w and b = adj(A) w often share a factor to divide out.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(int_rows(n, n, 9))
+    assume(det(m) != 0)
+    factor = draw(st.integers(1, 4))
+    w = [factor * x for x in draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))]
+    return m, draw(st.integers(0, n - 1)), w
+
+
+@given(column_replacements())
+# b = (-6, 0) before the common factor 2 of w and b is divided out: b_i < 0
+@example(([[2, 1], [0, 3]], 0, [-2, 0]))
+# w = 0 makes the new matrix singular, whose adjugate keeps only row i
+@example(([[1, 2, 0], [0, 3, 1], [4, 0, 5]], 1, [0, 0, 0]))
+@example(([[1, 2, 0], [0, 3, 1], [4, 0, 5]], 2, [6, -4, 2]))
+@settings(max_examples=300, deadline=None)
+def test_replace_column_matches_adjugate(data):
+    """The rank-one update gives the adjugate and determinant of A with column i replaced."""
+    m, i, w = data
+    adj, d = adjugate(m), det(m)
+    b = [dot(row, w) for row in adj]
+    g = vec_gcd(w)
+    if g > 1:
+        w = [x // g for x in w]
+        b = [x // g for x in b]
+    child = [row[:i] + [x] + row[i + 1 :] for row, x in zip(m, w)]
+    assert replace_column(adj, d, i, b) == (adjugate(child), det(child))
+
+
+@st.composite
+def borderings(draw):
+    """(A, col, row, corner): nonsingular A, n <= 5, one more column and row, entries in [-9, 9]."""
+    n = draw(st.integers(0, 5))
+    m = draw(int_rows(n, n, 9))
+    assume(det(m) != 0)
+    vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return m, draw(vector), draw(vector), draw(st.integers(-9, 9))
+
+
+@given(borderings())
+@example(([], [], [], 3))  # the first point of a triangulation
+@example(([[2, 1], [0, 3]], [1, 1], [2, 1], 1))  # the new row repeats row 0: det 0
+@settings(max_examples=300, deadline=None)
+def test_add_row_column_matches_adjugate(data):
+    """Bordering gives the adjugate and determinant of [[A, col], [row, corner]]."""
+    m, col, row, corner = data
+    adj, d = adjugate(m), det(m)
+    big = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
+    assert add_row_column(adj, d, col, row, corner) == (adjugate(big), det(big))

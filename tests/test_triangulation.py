@@ -16,7 +16,7 @@ from hivecount import (
     placing_triangulation,
 )
 from hivecount.errors import DegenerateSpanError
-from hivecount.linalg import dot, rank as matrix_rank, solve_square
+from hivecount.linalg import adjugate, det, dot, rank as matrix_rank
 from hivecount.triangulation import (
     cell_contains,
     hive_matrix_rows,
@@ -244,3 +244,16 @@ def test_hive_rank4_natural_order_spectrum():
     # the determinant spectrum that the README quotes for the natural order
     tri = placing_triangulation(hive_matrix(4))
     assert Counter(abs(cell.det) for cell in tri.cells) == {1: 144, 2: 24, 4: 1}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cell_det_and_adjugate_are_over_listed_indices(seed):
+    # the random orders of `hivecount triangulate --rank 4 --order random`
+    # make cells from several parents, whose columns come in another order
+    order = list(range(33))
+    random.Random(seed).shuffle(order)
+    tri = placing_triangulation(hive_matrix(4), order=order)
+    for cell in tri.cells:
+        mat = [[tri.coords[i][r] for i in cell.indices] for r in range(tri.span_dim)]
+        assert cell.det == det(mat)
+        assert [list(row) for row in cell.adjugate] == adjugate(mat)
