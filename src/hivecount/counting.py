@@ -35,7 +35,15 @@ from .errors import (
     UnboundedError,
 )
 from .hives import build_hive_polytope
-from .linalg import adjugate, dot, lll_reduce, primitive, rank, replace_column, vec_gcd
+from .linalg import (
+    adjugate,
+    dot,
+    echelon_pivots,
+    lll_reduce,
+    primitive,
+    replace_column,
+    vec_gcd,
+)
 # enumerate_vertices and supporting_cone are not called here, but
 # perfbench/tracing.py hooks them under this module's name, and a name it
 # cannot hook drops per-layer metrics that perfbench/selftest.py requires
@@ -45,11 +53,11 @@ from .polyhedra import (
     coordinate_bounds,
     enumerate_vertices,
     homogenized_rays,
+    incidence_bitsets,
     interior_point,
     lattice_chart,
     restrict_chart,
     supporting_cone,
-    vertex_of,
 )
 from .triangulation import placing_triangulation
 from .weights import WeightTriple
@@ -69,7 +77,8 @@ class SignedUnimodularCone:
     direction and makes the signed indicator sum exact, not just exact
     modulo lower-dimensional cones.  inverse holds the rows of the inverse
     of the ray matrix, so inverse[i] . x is the coordinate of x along
-    rays[i].
+    rays[i].  The count's closed polar leaves record as apex the homogenized
+    int ray (q v, q) of their vertex v (see polyhedra.vertex_of).
     """
 
     sign: int
@@ -101,10 +110,7 @@ def _chart_rays(rows, rhs, dim):
     rays = homogenized_rays(rows, rhs, dim)
     if rays is not None:
         return rays, False
-    cols = []
-    for j in range(dim):
-        if rank([[a[i] for i in cols + [j]] for a in rows]) > len(cols):
-            cols.append(j)
+    cols = list(echelon_pivots([[a[j] for a in rows] for j in range(dim)], range(dim)))
     pinned = [[a[i] for i in cols] for a in rows]
     return homogenized_rays(pinned, rhs, len(cols)), True
 
@@ -169,7 +175,7 @@ def _chart_points(poly: HRepPolytope, cap: int):
     Raises CapExceededError when the chart has more than cap dimensions.
     A chart with an interior point keeps its dimension, so one slack LP
     settles the cap for it before the double description pass, whose cost
-    grows with the vertex count (past 100 s at rank 7).
+    grows with the vertex count (about 8 s at rank 7).
     """
     try:
         chart = lattice_chart(poly)
@@ -337,8 +343,8 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     raise InvariantError("no generic interior direction found")
 
 
-def _facet_mask(tight_masks, nrows):
-    """Bitmask of the facet rows among nrows rows, read off every vertex's tight-row mask.
+def _facet_mask(on):
+    """Bitmask of the facet rows, read off each row's incidence bitset on[j] over the vertices.
 
     With the polytope bounded and full-dimensional and no two rows parallel,
     row j is a facet unless the vertices tight on it are all tight on some
@@ -346,7 +352,6 @@ def _facet_mask(tight_masks, nrows):
     a facet.  So a row tight at no vertex is never a facet.  The facets of the
     tangent cone at a vertex are the facets through it.
     """
-    on = [sum(1 << i for i, m in enumerate(tight_masks) if m >> j & 1) for j in range(nrows)]
     return sum(
         1 << j
         for j, z in enumerate(on)
@@ -354,43 +359,67 @@ def _facet_mask(tight_masks, nrows):
     )
 
 
-def _vertex_leaves(apex, gens):
-    """Closed signed unimodular cones at apex summing to cone(gens)'s polar modulo cones with lines.
+def _edge_directions(vertices, i, rows, on):
+    """Primitive edge directions u_j at vertex i of a d-polytope, which lies on the d facets rows.
 
-    gens are the primitive facet rows through apex, so that polar is the tangent
-    cone, and the polar of a full-dimensional cone is pointed.
+    The facets other than rows[j] meet the polytope in an edge, whose two
+    vertices are the AND of their incidence bitsets on, taken from the set
+    of all vertices since d may be 1.  u_j points from vertex i to the other
+    one, so it lies on every facet in rows but the j-th.
     """
+    # the AND over all rows but the j-th is prefix[j] & suffix
+    prefix = [(1 << len(vertices)) - 1]
+    for k in rows[:-1]:
+        prefix.append(prefix[-1] & on[k])
+    suffix = prefix[0]
+    ray = vertices[i][0]
+    a, q = ray[:-1], ray[-1]
+    edges = []
+    for j in range(len(rows) - 1, -1, -1):
+        shared = prefix[j] & suffix
+        if shared.bit_count() != 2:
+            raise InvariantError("an edge at a simple vertex does not have two vertices")
+        other = vertices[(shared ^ 1 << i).bit_length() - 1][0]
+        b, r = other[:-1], other[-1]
+        edges.append(primitive([q * x - r * y for x, y in zip(b, a)]))
+        suffix &= on[rows[j]]
+    return edges[::-1]
+
+
+def _vertex_leaves(ray, gens, edges):
+    """Closed signed unimodular cones summing to cone(gens)'s polar modulo cones with lines.
+
+    gens are the primitive facet rows through the vertex of the homogenized
+    ray (see polyhedra.vertex_of), which each leaf records as its apex, so that polar is
+    the tangent cone, and the polar of a full-dimensional cone is pointed.
+    At a simple vertex edges holds the primitive edge directions u_j, on
+    every g_i but g_j (see _edge_directions); when g_j . u_j = -1 for every j,
+    G U = -I, so the polar cone is unimodular, and its one leaf is the closed
+    cone over the u_j with inverse -G, as the elimination would find.
+    """
+    if edges is not None and all(dot(g, u) == -1 for g, u in zip(gens, edges)):
+        inverse = tuple([tuple([-v for v in g]) for g in gens])
+        return [SignedUnimodularCone(1, ray, tuple(edges), (False,) * len(gens), inverse)]
     out = []
     for cell in _simplicial_cells(gens, pointed=True):
-        _barvinok_recurse(1, *cell, None, apex, out)
+        _barvinok_recurse(1, *cell, None, ray, out)
     return out
 
 
-def _series_mul(a, b, deg):
-    out = [0] * (deg + 1)
-    for i, av in enumerate(a[: deg + 1]):
-        if av:
-            for j in range(deg + 1 - i):
-                if b[j]:
-                    out[i + j] += av * b[j]
-    return out
+def _series_quotient(b, a, deg):
+    """a[0]^(deg+1) * b / a up to degree deg, for int series a, b with a[0] != 0.
 
-
-def _scaled_inverse(a, deg):
-    """a[0]^(deg+1) / a up to degree deg, for an int series a with a[0] != 0.
-
-    Coefficient k of 1/a has denominator dividing a[0]^(k+1), so every
-    coefficient here is an int and every division is exact.
+    One triangular solve: coefficient k is
+    (a[0]^(deg+1) b[k] - sum_{i>=1} a[i] c[k-i]) / a[0].  Coefficient k of 1/a
+    has denominator dividing a[0]^(k+1), so every coefficient here is an int
+    and every division is exact.
     """
     lead = a[0]
-    out = [lead**deg] + [0] * deg
-    for k in range(1, deg + 1):
-        acc = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i]:
-                acc += a[i] * out[k - i]
-        out[k] = -acc // lead
-    return out
+    top = lead ** (deg + 1)
+    c = []
+    for k in range(deg + 1):
+        c.append((top * b[k] - dot(a[1 : k + 1], c[::-1])) // lead)
+    return c
 
 
 def _binomial_series(n, deg):
@@ -423,12 +452,13 @@ def _lowest_lattice_point(leaf, a, q):
     return tuple(point)
 
 
-def _leaf_series(leaf, a, q, direction, h_of, deg, emax):
+def _leaf_series(leaf, a, q, direction, e_of, h_of, deg, emax):
     """Signed truncated series of the leaf's generating function at (1+s)^direction.
 
-    The leaf's apex is a / q.  h_of caches, for each e = |direction . ray|,
-    the series ((1+s)^e - 1) / s, which leaves across the count share, as one
-    int with coefficient k at bit width * k.  The coefficients are nonnegative,
+    The leaf's apex is a / q, and e_of maps each of its rays u to direction . u.
+    h_of caches, for each e = |direction . u|, the series ((1+s)^e - 1) / s,
+    which leaves across the count share, as one int with coefficient k at bit
+    width * k.  The coefficients are nonnegative,
     so while each one of the product up to degree deg is below 2^width, the
     masked int product packs the product series (Kronecker substitution).  For
     E <= deg * emax the sum of the leaf's deg values e, coefficient k of the
@@ -444,7 +474,7 @@ def _leaf_series(leaf, a, q, direction, h_of, deg, emax):
     mask = (1 << width * (deg + 1)) - 1
     packed = 1
     for u in leaf.rays:
-        e = dot(direction, u)
+        e = e_of[u]
         if e == 0:
             raise InvariantError("specialization direction is orthogonal to a ray")
         if e < 0:
@@ -456,7 +486,7 @@ def _leaf_series(leaf, a, q, direction, h_of, deg, emax):
             h = h_of[e] = sum(comb(e, k + 1) << width * k for k in range(deg + 1))
         packed = packed * h & mask
     denom = [packed >> width * k & (1 << width) - 1 for k in range(deg + 1)]
-    series = _series_mul(_binomial_series(exponent, deg), _scaled_inverse(denom, deg), deg)
+    series = _series_quotient(_binomial_series(exponent, deg), denom, deg)
     sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
     return [sgn * v for v in series], denom[0] ** (deg + 1)
 
@@ -506,14 +536,17 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     if d == 0:
         return CountResult(1, BARVINOK)
     gens = [primitive(a) for a in chart.rows]
-    facets = _facet_mask([mask for _, mask in vertices], len(gens))
+    on = incidence_bitsets([mask for _, mask in vertices], len(gens))
+    facets = _facet_mask(on)
     vertex_leaves = []
-    for ray, mask in vertices:
-        facet_rows = [g for k, g in enumerate(gens) if (mask & facets) >> k & 1]
-        vertex_leaves.append((ray, _vertex_leaves(vertex_of(ray), facet_rows)))
+    for i, (ray, mask) in enumerate(vertices):
+        rows = [k for k in range(len(gens)) if (mask & facets) >> k & 1]
+        edges = _edge_directions(vertices, i, rows, on) if len(rows) == d else None
+        vertex_leaves.append((ray, _vertex_leaves(ray, [gens[k] for k in rows], edges)))
     ray_set = sorted({u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays})
     direction = _specialization_direction(ray_set, d, seed)
-    emax = max(abs(dot(direction, u)) for u in ray_set)
+    e_of = {u: dot(direction, u) for u in ray_set}
+    emax = max(map(abs, e_of.values()))
     h_of = {}
     sums = {}  # scale -> sum of the int series of the leaves with that scale
     while vertex_leaves:
@@ -521,7 +554,7 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         ray, leaves = vertex_leaves.pop()
         a, q = ray[:-1], ray[-1]
         for leaf in leaves:
-            series, scale = _leaf_series(leaf, a, q, direction, h_of, d, emax)
+            series, scale = _leaf_series(leaf, a, q, direction, e_of, h_of, d, emax)
             acc = sums.setdefault(scale, [0] * (d + 1))
             for k, c in enumerate(series):
                 acc[k] += c

@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers and rationals, on plain lists.
 
 Everything here is deterministic and division-free where possible: Bareiss
-elimination for determinants and ranks, one fraction-free (Bareiss)
+elimination for determinants and ranks, an incremental integer echelon that
+picks the independent vectors of a sequence, one fraction-free (Bareiss)
 Gauss-Jordan elimination for the adjugate, exact rank-one and bordering
 updates of an adjugate, column-style Hermite reduction for integral solves and
 kernel bases, and an integral LLL reduction used by the cone decomposition.
@@ -25,10 +26,7 @@ def identity(n):
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -85,6 +83,28 @@ def rank(rows) -> int:
         if r == n_rows:
             break
     return r
+
+
+def echelon_pivots(vectors, order):
+    """{idx: pivot}, in order, for each vectors[idx] outside the span of those before it.
+
+    Each such vector is reduced to a primitive echelon row, zero at every
+    earlier pivot, so the rows project one to one onto their pivots.  The
+    scan stops once the rows span the whole space.
+    """
+    echelon = []
+    pivot_of = {}
+    for idx in order:
+        w = list(vectors[idx])
+        for p, e in echelon:
+            if w[p]:
+                w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
+        if any(w):
+            pivot_of[idx] = p = next(i for i, x in enumerate(w) if x)
+            echelon.append((p, primitive(w)))
+            if len(echelon) == len(w):
+                break
+    return pivot_of
 
 
 def adjugate(rows):

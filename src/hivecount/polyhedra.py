@@ -12,7 +12,7 @@ from itertools import islice
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
-from .linalg import adjugate, dot, hermite_solve, primitive, rank, vec_gcd
+from .linalg import adjugate, dot, echelon_pivots, hermite_solve, primitive, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -326,6 +326,116 @@ def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
     return LatticeChart(origin, basis, tuple(rows), tuple(rhs))
 
 
+def incidence_bitsets(masks, nrows):
+    """For each of nrows rows, the bitset with bit j set when masks[j] has that row's bit."""
+    on = [0] * nrows
+    for j, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            on[low.bit_length() - 1] |= 1 << j
+            mask ^= low
+    return on
+
+
+def _in_at_least(on, mask, need, universe):
+    """The members of the bitset universe in at least need of the bitsets on[k], k a bit of mask.
+
+    A bit-sliced counter: plane b holds bit b of each member's count, and
+    each bitset is added with its carries, before the counts are compared
+    with need from the top plane down.
+    """
+    if need <= 0:
+        return universe
+    planes = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        x = on[low.bit_length() - 1] & universe
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ x
+            x &= plane
+            if not x:
+                break
+        else:
+            if x:
+                planes.append(x)
+    if need >> len(planes):
+        return 0
+    above, equal = 0, universe
+    for b in range(len(planes) - 1, -1, -1):
+        if need >> b & 1:
+            equal &= planes[b]
+        else:
+            above |= equal & planes[b]
+            equal &= ~planes[b]
+    return above | equal
+
+
+# Below this many current rays, scanning every ray's tight rows for a third
+# ray is cheaper than building incidence bitsets: the stretch workload's flat
+# charts stay below it, and the paper rows' charts soon pass it.
+_SCAN_BELOW = 64
+
+
+def _scan_pairs(masks, pos, neg, n):
+    """(sp, p, j, common) for each adjacent pair of a ray (sp, p, tp) in pos and the j-th ray, j in neg.
+
+    common holds the rows both rays are tight on, and every ray's tight rows
+    masks[i] are scanned for a third ray tight on all of them.
+    """
+    for sp, p, tp in pos:
+        for j in neg:
+            common = tp & masks[j]
+            if common.bit_count() >= n - 2:
+                # the pair is tight on common; stop at a third ray that is
+                third = islice((m for m in masks if m & common == common), 2, None)
+                if next(third, None) is None:
+                    yield sp, p, j, common
+
+
+def _bitset_pairs(masks, pos, neg, n):
+    """(sp, p, j, common) as _scan_pairs finds them, read off incidence bitsets.
+
+    on[k] has bit j set when the j-th ray is tight on row k.  The negative
+    rays sharing n - 2 rows with a positive ray p come from one count over
+    the on[k] of p's rows, and the rays tight on every row of a pair's
+    common rows are the AND of their on[k], taken from the set of all rays,
+    since common may be empty.  Two pairs tight on the same common make that
+    AND hold three rays or more, so a common met twice needs no AND.
+    """
+    # rows every ray is tight on, as in a flat cone, decide nothing, and
+    # only the other rows of positive rays are ever read
+    flat, live = -1, 0
+    for tight in masks:
+        flat &= tight
+    for _, _, tight in pos:
+        live |= tight
+    live &= ~flat
+    on = incidence_bitsets([tight & live for tight in masks], live.bit_length())
+    everyone = (1 << len(masks)) - 1
+    negative = sum(1 << j for j in neg)
+    need = n - 2 - flat.bit_count()
+    seen = set()
+    for sp, p, tp in pos:
+        partners = _in_at_least(on, tp & live, need, negative)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            j = low.bit_length() - 1
+            common = tp & masks[j]
+            if common in seen:
+                continue
+            seen.add(common)
+            shared = everyone
+            c = common & live
+            while c:
+                low = c & -c
+                shared &= on[low.bit_length() - 1]
+                c ^= low
+            if shared.bit_count() == 2:
+                yield sp, p, j, common
+
+
 def _extreme_rays(cone_rows, n):
     """Extreme rays of the cone {y in Q^n : h y <= 0 for every row h}.
 
@@ -336,7 +446,9 @@ def _extreme_rays(cone_rows, n):
     and joining each adjacent pair of rays across them.  Rays are primitive
     int vectors, each with the bitmask of the rows it is tight on; two rays
     are adjacent when they share at least n - 2 tight rows and no third ray
-    is tight on all of those.
+    is tight on all of those.  Below _SCAN_BELOW rays the pairs are found by
+    scanning (_scan_pairs), above it from incidence bitsets (_bitset_pairs),
+    which form no pair only to reject it.
 
     Returns (ray, mask) pairs in no particular order, ray an int tuple and
     bit i of mask set when ray is tight on row i, or None when the rows have
@@ -344,13 +456,8 @@ def _extreme_rays(cone_rows, n):
     """
     if n == 0:
         return []
-    seed = []
-    for i, h in enumerate(cone_rows):
-        if rank([cone_rows[j] for j in seed] + [h]) > len(seed):
-            seed.append(i)
-            if len(seed) == n:
-                break
-    else:
+    seed = list(echelon_pivots(cone_rows, range(len(cone_rows))))
+    if len(seed) < n:
         return None
     square = [cone_rows[i] for i in seed]
     adj = adjugate(square)
@@ -366,28 +473,22 @@ def _extreme_rays(cone_rows, n):
         if i in seed:
             continue
         bit = 1 << i
-        pos, neg, kept = [], [], []
-        for ray, tight in rays:
+        pos, neg, side, kept = [], [], [], []
+        for j, (ray, tight) in enumerate(rays):
             s = dot(h, ray)
+            side.append(s)
             if s > 0:
                 pos.append((s, ray, tight))
             elif s < 0:
-                neg.append((s, ray, tight))
+                neg.append(j)
                 kept.append((ray, tight))
             else:
                 kept.append((ray, tight | bit))
         if pos and neg:
-            masks = [tight for _, tight in rays]
-            for sp, p, tp in pos:
-                for sn, q, tq in neg:
-                    common = tp & tq
-                    if common.bit_count() < n - 2:
-                        continue
-                    # p and q are tight on common; stop at a third ray that is
-                    third = islice((m for m in masks if m & common == common), 2, None)
-                    if next(third, None) is None:
-                        ray = primitive([sp * a - sn * b for a, b in zip(q, p)])
-                        kept.append((ray, common | bit))
+            pairs = _scan_pairs if len(rays) < _SCAN_BELOW else _bitset_pairs
+            for sp, p, j, common in pairs([tight for _, tight in rays], pos, neg, n):
+                q = rays[j][0]
+                kept.append((primitive([sp * a - side[j] * b for a, b in zip(q, p)]), common | bit))
         rays = kept
     return rays
 

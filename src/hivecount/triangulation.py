@@ -17,6 +17,7 @@ from .hives import build_hive_polytope, homogenize
 from .linalg import (
     add_row_column,
     dot,
+    echelon_pivots,
     hermite_solve,
     identity,
     integer_kernel,
@@ -107,27 +108,6 @@ def _assert_pointed(points):
         raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
 
 
-def _echelon_pivots(coords, order):
-    """{idx: pivot} for each point in order outside the span of those before it.
-
-    Each such point is reduced to a primitive echelon row, zero at every
-    earlier pivot, so the rows project one to one onto their pivots.
-    """
-    echelon = []
-    pivot_of = {}
-    for idx in order:
-        w = list(coords[idx])
-        for p, e in echelon:
-            if w[p]:
-                w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
-        if any(w):
-            pivot_of[idx] = p = next(i for i, x in enumerate(w) if x)
-            echelon.append((p, primitive(w)))
-            if len(echelon) == len(w):
-                break
-    return pivot_of
-
-
 def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order.
 
@@ -150,7 +130,7 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     if not pointed:
         _assert_pointed(pts)
     m = config.ambient_dim
-    pivot_of = _echelon_pivots(pts, order)
+    pivot_of = echelon_pivots(pts, order)
     if len(pivot_of) == m:
         # the span is all of Q^m, and its lattice Z^m
         basis = identity(m)
@@ -158,7 +138,7 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     else:
         basis = span_lattice_basis(pts)
         coords = [_span_coordinates(basis, p) for p in pts]
-        pivot_of = _echelon_pivots(coords, order)
+        pivot_of = echelon_pivots(coords, order)
 
     cells = [()]  # each a tuple of point indices, len == current dimension
     inverses = [([], 1)]  # per cell, (adjugate, determinant) over the pivots

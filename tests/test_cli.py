@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hivecount import lr_tableau_count
 from hivecount.cli import main
 from hivecount.errors import InvariantError
 
@@ -37,6 +38,18 @@ def test_python_dash_m_runs_count(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"
+
+
+def test_count_rank7_row(capsys):
+    # a chart of dimension 15 with 60 rows, whose double description pass
+    # peaks at about 10,000 intermediate rays; the tableau rule is independent
+    lam, nu = (7, 6, 5, 4, 3, 2, 1), (13, 12, 10, 8, 6, 4, 3)
+    weights = ",".join(map(str, lam))
+    code, out, _ = run(capsys, "count", "--lambda", weights, "--mu", weights,
+                       "--nu", ",".join(map(str, nu)))
+    assert code == 0
+    assert out.strip() == "32"
+    assert lr_tableau_count(lam, lam, nu) == 32
 
 
 def test_count_zero_coefficient_exits_zero(capsys):

@@ -1,12 +1,18 @@
 import itertools
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reduce_oracle import lp_reduce_bounded
-from _series_oracle import leaf_series_unpacked, per_scale_total
+from _series_oracle import (
+    _series_mul,
+    leaf_series_unpacked,
+    per_scale_total,
+    series_quotient_by_inverse,
+)
 from _vertex_oracle import _polar_generators
 from hivecount import (
     BARVINOK,
@@ -29,13 +35,21 @@ from hivecount import (
 from hivecount.counting import (
     NAIVE_DIMENSION_CAP,
     SignedUnimodularCone,
+    _binomial_series,
     _iter_chart_points,
     _leaf_series,
     _pairwise_total,
     _reduce,
+    _series_quotient,
 )
 from hivecount.linalg import dot, vec_gcd
-from hivecount.polyhedra import VertexCone, _extreme_rays, enumerate_vertices, vertex_of
+from hivecount.polyhedra import (
+    VertexCone,
+    _extreme_rays,
+    enumerate_vertices,
+    incidence_bitsets,
+    vertex_of,
+)
 
 
 def box_poly(bounds):
@@ -143,7 +157,7 @@ def test_naive_cap():
 
 def test_naive_cap_precedes_vertex_enumeration():
     # rank 7: a full-dimensional chart of dimension 15 with 60 rows, whose
-    # double description pass runs for minutes
+    # double description pass takes seconds
     lam, nu = (7, 6, 5, 4, 3, 2, 1), (13, 12, 10, 8, 6, 4, 3)
     with pytest.raises(CapExceededError):
         count_naive(hive_hrep(make_triple(lam, lam, nu)))
@@ -318,10 +332,12 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
 
 
 def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
-    """On the 557744 row only the polar cones of simple vertices take an elimination.
+    """On the 557744 row no polar cone takes an elimination.
 
-    The 179 cells of the other vertices' triangulations get their adjugates
-    from the triangulation, and every child in the recursion from its parent.
+    The polar cones of its 161 simple vertices are all unimodular, which the
+    edge directions show without one, the 179 cells of the other vertices'
+    triangulations get their adjugates from the triangulation, and every
+    child in the recursion from its parent.
     """
     import hivecount.counting as counting
     import hivecount.triangulation as triangulation
@@ -338,9 +354,7 @@ def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
     monkeypatch.setattr(counting, "adjugate", counted)
     paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
     assert lr_coefficient(paper_row) == 557744
-    # one per simple vertex, each on the chart's dimension, 6
-    assert len(calls) == 161
-    assert set(calls) == {6}
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -360,8 +374,8 @@ def test_paper_rows_leaf_counts(monkeypatch, triple, value, leaves):
     real = counting._vertex_leaves
     sizes = []
 
-    def spy(apex, gens):
-        out = real(apex, gens)
+    def spy(ray, gens, edges):
+        out = real(ray, gens, edges)
         sizes.append(len(out))
         return out
 
@@ -415,10 +429,11 @@ def test_leaf_series_packed_matches_series_mul(inputs, sign):
     leaf = SignedUnimodularCone(sign, tuple(a), rays, (False,) * d, unit)
     direction = (1,) * d
     expected = leaf_series_unpacked(leaf, a, 1, direction, d)
+    e_of = {u: dot(direction, u) for u in rays}
     h_of = {}
-    assert _leaf_series(leaf, a, 1, direction, h_of, d, emax) == expected
+    assert _leaf_series(leaf, a, 1, direction, e_of, h_of, d, emax) == expected
     # a second leaf reads the packed series cached by the first
-    assert _leaf_series(leaf, a, 1, direction, h_of, d, emax) == expected
+    assert _leaf_series(leaf, a, 1, direction, e_of, h_of, d, emax) == expected
 
 
 scales = st.one_of(
@@ -446,13 +461,43 @@ def test_pairwise_total_matches_per_scale_fractions(sums):
     assert _pairwise_total(sums) == per_scale_total(sums)
 
 
-def _primal_leaves(apex, gens):
+@given(
+    st.integers(0, 12).flatmap(
+        lambda deg: st.tuples(
+            st.just(deg),
+            st.integers(-(10**7), 10**7),
+            st.integers(1, 10**6).flatmap(
+                lambda emax: st.lists(st.integers(1, emax), min_size=max(deg, 1), max_size=max(deg, 1))
+            ),
+        )
+    )
+)
+@example((12, -(10**7), [10**6] * 12))
+@example((12, 10**7, [1] * 12))
+@example((0, -3, [5]))
+@settings(max_examples=200, deadline=None)
+def test_series_quotient_matches_scaled_inverse(data):
+    """One triangular solve equals the binomial series times the scaled inverse.
+
+    The denominator is the product of deg series ((1+s)^e - 1)/s with e at
+    most emax, as one leaf's; the binomial exponent may be negative.
+    """
+    deg, exponent, es = data
+    denom = [1] + [0] * deg
+    for e in es:
+        denom = _series_mul(denom, [comb(e, k + 1) for k in range(deg + 1)], deg)
+    b = _binomial_series(exponent, deg)
+    assert _series_quotient(b, denom, deg) == series_quotient_by_inverse(b, denom, deg)
+
+
+def _primal_leaves(ray, gens, edges):
+    apex = vertex_of(ray)
     rays = _extreme_rays(gens, len(apex))
     return decompose_cone(VertexCone(apex, tuple(sorted(ray for ray, _ in rays))))
 
 
-def _every_row(tight_masks, nrows):
-    return (1 << nrows) - 1
+def _every_row(on):
+    return (1 << len(on)) - 1
 
 
 @st.composite
@@ -517,26 +562,60 @@ def test_polar_and_primal_sides_match_naive(poly):
             assert count_barvinok(poly).value == expected, name
 
 
-def _count_generators(poly):
-    """(tight rows, polar generators) at each vertex, as count_barvinok decomposes them."""
+def _vertex_leaf_calls(poly):
+    """The (ray, gens, edges) that count_barvinok hands _vertex_leaves, one per vertex."""
     import hivecount.counting as counting
 
-    chart, vertices = _reduce(poly)
     real = counting._vertex_leaves
     seen = []
 
-    def spy(apex, gens):
-        seen.append((apex, gens))
-        return real(apex, gens)
+    def spy(ray, gens, edges):
+        seen.append((ray, gens, edges))
+        return real(ray, gens, edges)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_vertex_leaves", spy)
         count_barvinok(poly)
-    assert [apex for apex, _ in seen] == [vertex_of(ray) for ray, _ in vertices]
+    return seen
+
+
+def _count_generators(poly):
+    """(tight rows, polar generators) at each vertex, as count_barvinok decomposes them."""
+    chart, vertices = _reduce(poly)
+    seen = _vertex_leaf_calls(poly)
+    assert [ray for ray, _, _ in seen] == [ray for ray, _ in vertices]
     return chart, [
-        ([a for a, b in zip(chart.rows, chart.rhs) if dot(a, apex) == b], gens)
-        for apex, gens in seen
+        ([a for a, b in zip(chart.rows, chart.rhs) if dot(a, vertex_of(ray)) == b], gens)
+        for ray, gens, _ in seen
     ]
+
+
+@with_cone_examples
+@example(HRepPolytope(rows=((2,), (-3,)), rhs=(7, 2)))  # [-2/3, 7/2]: one facet per vertex
+@settings(max_examples=60, deadline=None)
+def test_simple_vertex_leaf_matches_elimination(poly):
+    """At a vertex on exactly dim facets the edge directions give the elimination's leaves."""
+    from hivecount.counting import _vertex_leaves
+
+    for ray, gens, edges in _vertex_leaf_calls(poly):
+        assert (edges is not None) == (len(gens) == len(ray) - 1)
+        if edges is not None:
+            assert _vertex_leaves(ray, gens, edges) == _vertex_leaves(ray, gens, None)
+
+
+def test_simple_vertex_shortcut_needs_a_unimodular_polar():
+    from hivecount.counting import _vertex_leaves
+
+    # the triangle x, y >= 0, x + 2y <= 4: the polar cones at (0, 0) and
+    # (4, 0) are unimodular, and the one at (0, 2) has index 2, so there the
+    # edge directions fail the test and the elimination runs
+    calls = _vertex_leaf_calls(CONE_EXAMPLES[1])
+    unimodular = {
+        ray: all(dot(g, u) == -1 for g, u in zip(gens, edges)) for ray, gens, edges in calls
+    }
+    assert unimodular == {(0, 0, 1): True, (4, 0, 1): True, (0, 2, 1): False}
+    leaves = {ray: _vertex_leaves(ray, gens, edges) for ray, gens, edges in calls}
+    assert [len(leaves[ray]) for ray in sorted(leaves)] == [1, 2, 1]
 
 
 @with_cone_examples
@@ -573,9 +652,10 @@ def test_polar_side_leaves():
                           rhs=(0, 0, 2, 2, 0, 10))
     chart, vertices = _reduce(square)
     assert chart.rows == square.rows
-    assert _facet_mask([mask for _, mask in vertices], len(chart.rows)) == 0b1111
-    # the polar cone((-1, 0), (1, 2)) has index 2, so the recursion recurses
-    leaves = _vertex_leaves((Fraction(0), Fraction(2)), [(-1, 0), (1, 2)])
+    on = incidence_bitsets([mask for _, mask in vertices], len(chart.rows))
+    assert _facet_mask(on) == 0b1111
+    # the polar cone((-1, 0), (1, 2)) at (0, 2) has index 2, so the recursion recurses
+    leaves = _vertex_leaves((0, 2, 1), [(-1, 0), (1, 2)], None)
     assert len(leaves) > 1
     for leaf in leaves:
         assert not any(leaf.open_facets)

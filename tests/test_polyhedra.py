@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _dd_oracle import scan_extreme_rays
 from _lp_oracle import fraction_simplex
+from _samplers import random_triple_corpus
 from _vertex_oracle import kernel_line, subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
 from hivecount.counting import hive_hrep
@@ -14,6 +17,9 @@ from hivecount.polyhedra import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _cone_row,
+    _extreme_rays,
+    _in_at_least,
     _standard_simplex,
     coordinate_bounds,
     dedupe_rows,
@@ -222,6 +228,7 @@ def inequality_systems(draw):
 @example(([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 0], 2))  # a point
 @example(([(0, 0), (1, 0), (-1, 0), (0, -1)], [-1, 1, 0, 0], 2))  # 0 <= -1
 @example(([], [], 3))  # all of space
+@example(([(1,), (0,), (1,)], [0, 1, -1], 1))  # two rays sharing no tight row, adjacent
 @settings(max_examples=300, deadline=None)
 def test_enumerate_vertices_matches_subset_walk(system):
     rows, rhs, dim = system
@@ -350,3 +357,88 @@ def test_restrict_chart_drops_dimension():
     # impose x = 2 (in chart coordinates) as a new equality
     sub = restrict_chart(chart, [(1, 0)], [2])
     assert sub.dim == 1
+
+
+@given(
+    st.lists(st.integers(0, 2**12 - 1), max_size=10),
+    st.integers(0, 2**10 - 1),
+    st.integers(0, 11),
+    st.integers(0, 2**12 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_in_at_least_counts_memberships(on, mask, need, universe):
+    mask &= (1 << len(on)) - 1
+    rows = [k for k in range(len(on)) if mask >> k & 1]
+    want = sum(
+        1 << j
+        for j in range(12)
+        if universe >> j & 1 and sum(on[k] >> j & 1 for k in rows) >= need
+    )
+    assert _in_at_least(on, mask, need, universe) == want
+
+
+def _sorted_rays(rays):
+    return None if rays is None else sorted(rays)
+
+
+@st.composite
+def cones(draw):
+    """(rows, n): up to 10 rows in dimension n <= 4 with entries in [-2, 2], some repeated."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return rows, n
+
+
+@given(cones())
+# the homogenized cone of x <= 0, 0 <= 1, x <= -1 and the tangent cone at
+# (1, 0) of the unit square cut by x + y <= 1: in both, two rays that share
+# no tight row are adjacent, as an AND started from -1 instead of the set of
+# all rays would miss
+@example(([(1, 0), (0, -1), (1, 1), (0, -1)], 2))
+@example(([(1, 0), (0, -1), (1, 1)], 2))
+@example(([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))  # a line: rank below n
+@example(([(0, 0), (1, 1), (-1, -1)], 2))  # a zero row and a line
+@settings(max_examples=400, deadline=None)
+def test_extreme_rays_match_scan(cone):
+    """Small cones, joined by scanning and, with no scan threshold, by incidence bitsets."""
+    import hivecount.polyhedra as polyhedra
+
+    rows, n = cone
+    want = _sorted_rays(scan_extreme_rays(rows, n))
+    assert _sorted_rays(_extreme_rays(rows, n)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_SCAN_BELOW", 0)
+        assert _sorted_rays(_extreme_rays(rows, n)) == want
+
+
+def _hive_cone(triple):
+    """(rows, n) of the homogenized cone over the triple's chart, as homogenized_rays builds it."""
+    chart = lattice_chart(hive_hrep(triple))
+    rows = [_cone_row(tuple(a) + (-b,)) for a, b in zip(chart.rows, chart.rhs)]
+    return rows + [(0,) * chart.dim + (-1,)], chart.dim + 1
+
+
+@given(st.integers(4, 6), st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_extreme_rays_match_scan_on_hive_charts(rank, seed):
+    (triple,) = random_triple_corpus(random.Random(seed), 1, rank, 4)
+    rows, n = _hive_cone(triple)
+    assert sorted(_extreme_rays(rows, n)) == sorted(scan_extreme_rays(rows, n))
+
+
+@pytest.mark.parametrize(
+    "triple, vertices",
+    [
+        (((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45)), 232),
+        (((60, 50, 40, 30, 20, 10), (55, 45, 35, 25, 15, 5), (100, 90, 75, 60, 40, 25)), 392),
+    ],
+)
+def test_extreme_rays_match_scan_on_paper_charts(triple, vertices):
+    # the 557744 row, and R6, whose double description pass peaks at about
+    # 1,500 intermediate rays
+    rows, n = _hive_cone(make_triple(*triple))
+    rays = _extreme_rays(rows, n)
+    assert sorted(rays) == sorted(scan_extreme_rays(rows, n))
+    assert sum(ray[-1] > 0 for ray, _ in rays) == vertices
