@@ -12,38 +12,19 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 import time
 
 from hivecount import lr_coefficient, make_triple
 
-SMALL_ROWS = [
-    ((9, 7, 3, 0, 0), (9, 9, 3, 2, 0), (10, 9, 9, 8, 6), 2),
-    ((18, 11, 9, 4, 2), (20, 17, 9, 4, 0), (26, 25, 19, 16, 8), 453),
-    ((30, 24, 17, 10, 2), (27, 23, 13, 8, 2), (47, 36, 33, 29, 11), 5231),
-    ((38, 27, 14, 4, 2), (35, 26, 16, 11, 2), (58, 49, 29, 26, 13), 16784),
-    ((47, 44, 25, 12, 10), (40, 34, 25, 15, 8), (77, 68, 55, 31, 29), 5449),
-    ((60, 35, 19, 12, 10), (60, 54, 27, 25, 3), (96, 83, 61, 42, 23), 13637),
-    ((64, 30, 27, 17, 9), (55, 48, 32, 12, 4), (84, 75, 66, 49, 24), 49307),
-    ((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45), 557744),
-]
-
-LARGE_ROWS = [
-    ((935, 639, 283, 75, 48), (921, 683, 386, 136, 21),
-     (1529, 1142, 743, 488, 225), 1303088213330),
-]
-
-STRETCH_ROWS = [
-    ((6797, 5843, 4136, 2770, 707), (6071, 5175, 4035, 1169, 135),
-     (10527, 9398, 8040, 5803, 3070), 459072901240524338),
-    ((859647, 444276, 283294, 33686, 24714), (482907, 437967, 280801, 79229, 26997),
-     (1120207, 699019, 624861, 351784, 157647), 11711220003870071391294871475),
-]
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_REPO, "tests"))
 
 
 def run_rows(rows, method):
     mismatches = 0
-    for lam, mu, nu, reference in rows:
+    for (lam, mu, nu), reference in rows:
         triple = make_triple(lam, mu, nu)
         t0 = time.perf_counter()
         value = lr_coefficient(triple, method=method)
@@ -66,11 +47,13 @@ def main():
                         choices=("barvinok", "naive", "both"))
     args = parser.parse_args()
 
-    rows = list(SMALL_ROWS)
+    from _corpus import LARGE_WEIGHT_ROW, LARGE_WEIGHT_STRETCH, SMALL_WEIGHT_ROWS
+
+    rows = list(SMALL_WEIGHT_ROWS)
     if args.large:
-        rows += LARGE_ROWS
+        rows.append(LARGE_WEIGHT_ROW)
     if args.stretch:
-        rows += STRETCH_ROWS
+        rows += LARGE_WEIGHT_STRETCH
 
     t0 = time.perf_counter()
     mismatches = run_rows(rows, args.method)

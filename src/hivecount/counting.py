@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import ceil, comb, floor, gcd
 
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .hives import build_hive_polytope
 from .linalg import (
-    adjugate,
     dot,
     echelon_pivots,
     lll_reduce,
@@ -308,13 +306,9 @@ def _barvinok_recurse(sign, rays, adj, D, y, apex, out):
         _barvinok_recurse(child_sign, child, *replace_column(adj, D, i, b), y, apex, out)
 
 
-def _simplicial_cells(gens, pointed):
+def _simplicial_cells(gens):
     """(generators, adjugate, determinant) per cell triangulating a full-dimensional cone(gens)."""
-    if len(gens) == len(gens[0]):
-        rows = [list(row) for row in zip(*gens)]
-        adj = adjugate(rows)
-        return [(tuple(gens), adj, dot(rows[0], [r[0] for r in adj]))]
-    tri = placing_triangulation(gens, pointed=pointed)
+    tri = placing_triangulation(gens)
     return [(tuple(gens[i] for i in c.indices), c.adjugate, c.det) for c in tri.cells]
 
 
@@ -328,7 +322,7 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     rays = cone.rays
     if not rays:
         return [SignedUnimodularCone(1, cone.apex, (), (), ())]
-    cells = _simplicial_cells(rays, pointed=False)
+    cells = _simplicial_cells(rays)
     for attempt in range(64):
         y = _interior_direction(rays, attempt, seed)
         out = []
@@ -395,13 +389,13 @@ def _vertex_leaves(ray, gens, edges):
     At a simple vertex edges holds the primitive edge directions u_j, on
     every g_i but g_j (see _edge_directions); when g_j . u_j = -1 for every j,
     G U = -I, so the polar cone is unimodular, and its one leaf is the closed
-    cone over the u_j with inverse -G, as the elimination would find.
+    cone over the u_j with inverse -G, as its triangulation would find.
     """
     if edges is not None and all(dot(g, u) == -1 for g, u in zip(gens, edges)):
         inverse = tuple([tuple([-v for v in g]) for g in gens])
         return [SignedUnimodularCone(1, ray, tuple(edges), (False,) * len(gens), inverse)]
     out = []
-    for cell in _simplicial_cells(gens, pointed=True):
+    for cell in _simplicial_cells(gens):
         _barvinok_recurse(1, *cell, None, ray, out)
     return out
 
@@ -492,7 +486,7 @@ def _leaf_series(leaf, a, q, direction, e_of, h_of, deg, emax):
 
 
 def _pairwise_total(sums):
-    """[sum of acc[k] / scale over sums' items (scale, acc)], merged two at a time over lcm."""
+    """Sum of sums' items (scale, acc) as one (scale, acc), merged two at a time over lcm."""
     level = list(sums.items())
     while len(level) > 1:
         merged = []
@@ -500,8 +494,7 @@ def _pairwise_total(sums):
             g = gcd(s, t)
             merged.append((s // g * t, [u * (t // g) + v * (s // g) for u, v in zip(x, y)]))
         level = merged + level[len(merged) * 2 :]
-    scale, acc = level[0]
-    return [Fraction(c, scale) for c in acc]
+    return level[0]
 
 
 def _specialization_direction(all_rays, dim, seed):
@@ -558,13 +551,13 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
             acc = sums.setdefault(scale, [0] * (d + 1))
             for k, c in enumerate(series):
                 acc[k] += c
-    total = _pairwise_total(sums)
-    if any(total[k] != 0 for k in range(d)):
-        raise InvariantError(f"loose Laurent terms in specialization: {total[:d]}")
-    value = total[d]
-    if value.denominator != 1 or value < 0:
-        raise InvariantError(f"count specialized to {value}, not a nonnegative integer")
-    return CountResult(int(value), BARVINOK)
+    scale, acc = _pairwise_total(sums)
+    if any(acc[:d]):
+        raise InvariantError(f"loose Laurent terms in specialization: {acc[:d]} / {scale}")
+    value, rest = divmod(acc[d], scale)
+    if rest or value < 0:
+        raise InvariantError(f"count specialized to {acc[d]} / {scale}, not a nonnegative integer")
+    return CountResult(value, BARVINOK)
 
 
 def count_dilation(

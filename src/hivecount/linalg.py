@@ -1,16 +1,15 @@
-"""Exact linear algebra over the integers and rationals, on plain lists.
+"""Exact linear algebra over the integers, on plain lists.
 
-Everything here is deterministic and division-free where possible: Bareiss
-elimination for determinants and ranks, an incremental integer echelon that
-picks the independent vectors of a sequence, one fraction-free (Bareiss)
-Gauss-Jordan elimination for the adjugate, exact rank-one and bordering
-updates of an adjugate, column-style Hermite reduction for integral solves and
-kernel bases, and an integral LLL reduction used by the cone decomposition.
+Everything here is deterministic and every division is exact: an incremental
+integer echelon that picks the independent vectors of a sequence (and so
+gives ranks), exact bordering and rank-one updates of an adjugate, which
+build every adjugate in the package from the empty matrix along such an
+echelon, column-style Hermite reduction for integral solves and kernel
+bases, and an integral LLL reduction used by the cone decomposition.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -37,54 +36,6 @@ def primitive(v) -> tuple[int, ...]:
     return tuple([x // g for x in v])
 
 
-def det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def rank(rows) -> int:
-    """Rank of an integer matrix via fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            if m[i][col] != 0:
-                p, q = m[r][col], m[i][col]
-                m[i] = [p * b - q * a for a, b in zip(m[r], m[i])]
-                g = vec_gcd(m[i])
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def echelon_pivots(vectors, order):
     """{idx: pivot}, in order, for each vectors[idx] outside the span of those before it.
 
@@ -105,53 +56,6 @@ def echelon_pivots(vectors, order):
             if len(echelon) == len(w):
                 break
     return pivot_of
-
-
-def adjugate(rows):
-    """Classical adjugate: adjugate(A) @ A = det(A) * I.
-
-    One fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]: every
-    division is exact, and it ends at [det(PA) I | det(PA) (PA)^-1 P] for the
-    row permutation P, whose right block is sign(P) * adj(A).  A singular A
-    has no full set of pivots; its adjugate comes from the cofactors.
-
-    Step k updates only the left columns right of k and the right columns of
-    the rows pivoted so far (orig holds each row's index in A); elsewhere a
-    row holds zeros and, at its diagonal or unit column, the last pivot.
-    """
-    n = len(rows)
-    m = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    orig = list(range(n))
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            a = [list(r) for r in rows]
-            return [
-                [
-                    (-1) ** (i + j) * det([r[:j] + r[j + 1 :] for r in a[:i] + a[i + 1 :]])
-                    for i in range(n)
-                ]
-                for j in range(n)
-            ]
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            orig[k], orig[piv] = orig[piv], orig[k]
-            sign = -sign
-        pk = m[k]
-        p = pk[k]
-        live = [*range(k + 1, n), *[n + o for o in orig[: k + 1]]]
-        for i, row in enumerate(m):
-            f = row[k]
-            if i == k or not f and p == prev:
-                continue
-            for c in live:
-                row[c] = (p * row[c] - f * pk[c]) // prev
-            row[k] = 0
-            row[i if i < k else n + orig[i]] = p
-        prev = p
-    return [[sign * v for v in row[n:]] for row in m]
 
 
 def replace_column(adj, d, i, b):
@@ -255,7 +159,7 @@ def integer_kernel(rows):
     return kernel
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
+def lll_reduce(basis):
     """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows.
 
     Integral LLL (de Weger 1987; Cohen, "A Course in Computational Algebraic
@@ -263,15 +167,14 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     rows and lam[k][j] = d[j + 1] * mu[k][j] is the integral Gram-Schmidt
     coefficient; both are updated in place by every size reduction and swap,
     with exact divisions only.  At each k the row is size-reduced against
-    j = k-1, ..., 0 (mu rounded half to even) before the Lovasz test, and a
-    failed test swaps rows k-1 and k; this step order fixes the output.
+    j = k-1, ..., 0 (mu rounded half to even) before the Lovasz test with
+    delta = 3/4, and a failed test swaps rows k-1 and k; this step order
+    fixes the output.
     """
     b = [list(v) for v in basis]
     n = len(b)
     if n <= 1:
         return b
-    delta = Fraction(delta)
-    dn, dd = delta.numerator, delta.denominator
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
@@ -299,7 +202,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
                 for i in range(j):
                     lk[i] -= q * lj[i]
         t = lk[k - 1]
-        if dd * (d[k + 1] * d[k - 1] + t * t) >= dn * d[k] * d[k]:
+        if 4 * (d[k + 1] * d[k - 1] + t * t) >= 3 * d[k] * d[k]:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]

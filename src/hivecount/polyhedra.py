@@ -12,7 +12,7 @@ from itertools import islice
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
-from .linalg import adjugate, dot, echelon_pivots, hermite_solve, primitive, vec_gcd
+from .linalg import add_row_column, dot, echelon_pivots, hermite_solve, primitive, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -150,26 +150,21 @@ def lp_standard(rows, rhs, cost):
     return LPResult(OPTIMAL, tuple(z), value)
 
 
-def lp(c, rows, rhs, eq_rows=(), eq_rhs=(), maximize=True):
-    """Exact LP over free variables x: optimize c . x s.t. rows x <= rhs, eq_rows x = eq_rhs."""
+def lp(c, rows, rhs, maximize=True):
+    """Exact LP over free variables x: optimize c . x s.t. rows x <= rhs."""
     d = len(c)
     if d == 0:
-        ok = all(b >= 0 for b in rhs) and all(b == 0 for b in eq_rhs)
+        ok = all(b >= 0 for b in rhs)
         return LPResult(OPTIMAL, (), Fraction(0)) if ok else LPResult(INFEASIBLE)
     m1 = len(rows)
     sign = -1 if maximize else 1
     cost = [sign * v for v in c] + [-sign * v for v in c] + [0] * m1
     std_rows = []
-    std_rhs = []
-    for i, (a, b) in enumerate(zip(rows, rhs)):
+    for i, a in enumerate(rows):
         slack = [0] * m1
         slack[i] = 1
         std_rows.append(list(a) + [-v for v in a] + slack)
-        std_rhs.append(b)
-    for a, b in zip(eq_rows, eq_rhs):
-        std_rows.append(list(a) + [-v for v in a] + [0] * m1)
-        std_rhs.append(b)
-    status, z = _standard_simplex(std_rows, std_rhs, cost)
+    status, z = _standard_simplex(std_rows, list(rhs), cost)
     if status != OPTIMAL:
         return LPResult(status)
     x = tuple([z[j] - z[d + j] for j in range(d)])
@@ -456,17 +451,23 @@ def _extreme_rays(cone_rows, n):
     """
     if n == 0:
         return []
-    seed = list(echelon_pivots(cone_rows, range(len(cone_rows))))
+    seed = echelon_pivots(cone_rows, range(len(cone_rows)))
     if len(seed) < n:
         return None
-    square = [cone_rows[i] for i in seed]
-    adj = adjugate(square)
-    # square @ adj = det * I, so the columns of -sign(det) * adj are the rays,
-    # column j tight on every seed row but the j-th.
-    sign = -1 if dot(square[0], [r[0] for r in adj]) > 0 else 1
+    # border the seed rows on their pivots: the echelon rows project one to
+    # one onto their pivots, so every leading block is invertible
+    square, pivots = [cone_rows[i] for i in seed], list(seed.values())
+    adj, d = [], 1
+    for k, (h, p) in enumerate(zip(square, pivots)):
+        col = [g[p] for g in square[:k]]
+        adj, d = add_row_column(adj, d, col, [h[q] for q in pivots[:k]], h[p])
+    # square @ adj = d * I with row k of adj at coordinate pivots[k]: column j
+    # of -sign(d) * adj, so placed, is a ray tight on every seed row but the j-th
+    sign = -1 if d > 0 else 1
+    at = sorted(range(n), key=pivots.__getitem__)
     seed_mask = sum(1 << i for i in seed)
     rays = [
-        (primitive([sign * r[j] for r in adj]), seed_mask & ~(1 << i))
+        (primitive([sign * adj[k][j] for k in at]), seed_mask & ~(1 << i))
         for j, i in enumerate(seed)
     ]
     for i, h in enumerate(cone_rows):

@@ -21,11 +21,9 @@ from .linalg import (
     hermite_solve,
     identity,
     integer_kernel,
-    primitive,
-    rank as matrix_rank,
     replace_column,
 )
-from .polyhedra import INFEASIBLE, OPTIMAL, lp_standard
+from .polyhedra import INFEASIBLE, lp_standard
 from .weights import make_triple
 
 
@@ -92,23 +90,7 @@ def _span_coordinates(basis, vector):
     return tuple(coeffs)
 
 
-def _assert_pointed(points):
-    """A nonnegative nonzero combination of generators summing to zero kills pointedness."""
-    n = len(points)
-    dim = len(points[0])
-    rows = [[p[i] for p in points] + [0] * n for i in range(dim)]
-    for j in range(n):
-        cap = [0] * (2 * n)
-        cap[j] = 1
-        cap[n + j] = 1
-        rows.append(cap)
-    rhs = [0] * dim + [1] * n
-    res = lp_standard(rows, rhs, [-1] * n + [0] * n)
-    if res.status != OPTIMAL or res.value != 0:
-        raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
-
-
-def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
+def placing_triangulation(config, order=None) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order.
 
     Each generator is inserted in turn; one that extends the dimension joins
@@ -116,9 +98,11 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     outside is joined to the strictly visible boundary facets: those opposite
     a negative barycentric coordinate of the point in their cell.  Each cell's
     adjugate comes from an earlier one, bordered by a row and a column or
-    updated in one column, with no elimination.  A caller that knows
-    cone(config) to be pointed passes pointed=True to skip the LP that checks
-    it.
+    updated in one column, with no elimination.  A point v that does not
+    extend the dimension and lies strictly inside no boundary facet has -v in
+    the cone so far, and the first point to put a line into the cone is such
+    a point, so DegenerateSpanError is raised exactly when cone(config) is
+    not pointed.
     """
     if not isinstance(config, PointConfiguration):
         config = PointConfiguration(tuple(config))
@@ -127,8 +111,6 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the point indices")
-    if not pointed:
-        _assert_pointed(pts)
     m = config.ambient_dim
     pivot_of = echelon_pivots(pts, order)
     if len(pivot_of) == m:
@@ -163,18 +145,25 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
             for j, drop in enumerate(cell):
                 facet = tuple(sorted(i for i in cell if i != drop))
                 facet_owner[facet] = None if facet in facet_owner else (c, j)
+        inside = False
         for facet, owner in sorted(facet_owner.items()):
             if owner is None:
                 continue
             c, j = owner
             cell = cells[c]
             adj, d = inverses[c]
+            if d == 0:
+                raise InvariantError("degenerate cell in placing triangulation")
             # v has barycentric coordinates adj vp / d in the cell, and the
             # facet opposite point j is visible exactly where coordinate j < 0
             s = dot(adj[j], vp)
             if s < 0 if d > 0 else s > 0:
                 cells.append(cell[:j] + (idx,) + cell[j + 1 :])
                 inverses.append(replace_column(adj, d, j, [dot(row, vp) for row in adj]))
+            elif s:
+                inside = True
+        if not inside:
+            raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
     # the pivots are a permutation of the span coordinates: putting the rows
     # of each square in coordinate order, and its columns in index order,
     # permutes its adjugate's columns and rows and multiplies both by the signs
@@ -290,7 +279,7 @@ def _verify_vertex(rows, b, x):
             row = [0] * n
             row[j] = 1
             tight.append(row)
-    if matrix_rank(tight) != n:
+    if len(echelon_pivots(tight, range(len(tight)))) != n:
         raise InvariantError("witness is not a vertex: tight conditions do not pin it")
 
 

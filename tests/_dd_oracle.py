@@ -1,16 +1,18 @@
 """The double description routine before incidence bitsets, kept as a test oracle.
 
 scan_extreme_rays picks its seed rows with one rank computation per candidate
-row, and decides each adjacency by scanning the tight-row mask of every
-current ray for a third ray tight on all the rows the pair shares.
-polyhedra._extreme_rays picks the same seed rows with one incremental
-echelon and answers that question with an AND of per-row incidence bitsets;
-it must return the same (ray, mask) pairs, or None where this does.
+row, takes their rays from a cofactor adjugate, and decides each adjacency
+by scanning the tight-row mask of every current ray for a third ray tight on
+all the rows the pair shares.  polyhedra._extreme_rays picks the same seed
+rows with one incremental echelon, borders their adjugate up along it, and
+answers that question with an AND of per-row incidence bitsets; it must
+return the same (ray, mask) pairs, or None where this does.
 """
 
 from itertools import islice
 
-from hivecount.linalg import adjugate, dot, primitive, rank
+from _lll_oracle import adjugate_cofactor, rank
+from hivecount.linalg import dot, primitive
 
 
 def scan_extreme_rays(cone_rows, n):
@@ -26,7 +28,7 @@ def scan_extreme_rays(cone_rows, n):
     else:
         return None
     square = [cone_rows[i] for i in seed]
-    adj = adjugate(square)
+    adj = adjugate_cofactor(square)
     # square @ adj = det * I, so the columns of -sign(det) * adj are the rays,
     # column j tight on every seed row but the j-th.
     sign = -1 if dot(square[0], [r[0] for r in adj]) > 0 else 1

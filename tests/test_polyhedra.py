@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _dd_oracle import scan_extreme_rays
+from _lll_oracle import rank as matrix_rank
 from _lp_oracle import fraction_simplex
 from _samplers import random_triple_corpus
 from _vertex_oracle import kernel_line, subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
 from hivecount.counting import hive_hrep
 from hivecount.errors import InfeasibleLatticeError
-from hivecount.linalg import dot, primitive, rank as matrix_rank
+from hivecount.linalg import dot, primitive
 from hivecount.polyhedra import (
     INFEASIBLE,
     OPTIMAL,
@@ -49,19 +50,19 @@ def cube_rows(d, lo=0, hi=1):
 
 def test_lp_maximize_on_square():
     rows, rhs = cube_rows(2)
-    res = lp([1, 1], rows, rhs, [], [], maximize=True)
+    res = lp([1, 1], rows, rhs, maximize=True)
     assert res.status == OPTIMAL
     assert res.value == 2
     assert list(res.x) == [1, 1]
 
 
 def test_lp_infeasible():
-    res = lp([1], [(1,), (-1,)], [0, -1], [], [])
+    res = lp([1], [(1,), (-1,)], [0, -1])
     assert res.status == INFEASIBLE
 
 
 def test_lp_unbounded():
-    res = lp([1], [(-1,)], [0], [], [], maximize=True)
+    res = lp([1], [(-1,)], [0], maximize=True)
     assert res.status == UNBOUNDED
 
 
@@ -131,7 +132,8 @@ def test_standard_simplex_matches_fraction_simplex(program):
 
 def test_lp_with_equalities():
     rows, rhs = cube_rows(2, 0, 3)
-    res = lp([1, 0], rows, rhs, [(1, 1)], [4], maximize=True)
+    # x + y = 4 as two opposing rows
+    res = lp([1, 0], rows + [(1, 1), (-1, -1)], rhs + [4, -4], maximize=True)
     assert res.status == OPTIMAL
     assert res.value == 3
     assert list(res.x) == [3, 1]

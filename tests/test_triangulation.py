@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import _triangulation_oracle as oracle
+from _lll_oracle import det, rank as matrix_rank
 
 from hivecount import (
     PointConfiguration,
+    decompose_cone,
     hive_matrix,
     hive_triangulation,
     integral_vertex_witness,
@@ -16,7 +18,8 @@ from hivecount import (
     placing_triangulation,
 )
 from hivecount.errors import DegenerateSpanError
-from hivecount.linalg import adjugate, det, dot, rank as matrix_rank
+from hivecount.linalg import dot
+from hivecount.polyhedra import VertexCone
 from hivecount.triangulation import (
     cell_contains,
     hive_matrix_rows,
@@ -56,6 +59,10 @@ def test_rejects_unpointed_configuration():
         placing_triangulation(((1, 0), (-1, 0)))
     with pytest.raises(DegenerateSpanError):
         PointConfiguration(((0, 0), (1, 0)))
+    # a tangent cone that contains the line through (1, 0, 0)
+    line = VertexCone(apex=(0, 0, 0), rays=((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)))
+    with pytest.raises(DegenerateSpanError):
+        decompose_cone(line)
 
 
 def test_span_lattice_basis_full_rank():
@@ -197,23 +204,26 @@ def _cells(tri):
 
 @st.composite
 def pointed_configurations(draw):
-    """(points, order): a pointed configuration in ambient dimension 2-6 and an insertion order.
+    """(points, order): a configuration in ambient dimension 2-6 and an insertion order.
 
-    The points are integer combinations of r drawn vectors, r from 1 to the
-    ambient dimension, so their rank is often below it.  Each is negated where
-    needed to make f . p > 0 for a drawn functional f, which makes the cone
-    pointed; up to two are repeated, and the order is any permutation.
+    The points are nonzero integer combinations of r drawn vectors, r from 1
+    to the ambient dimension, so their rank is often below it.  Unless the
+    flip is skipped, each is negated where needed to make f . p > 0 for a
+    drawn functional f, which makes the cone pointed; without it the cone
+    often contains a line.  Up to two points are repeated, and the order is
+    any permutation.
     """
     m = draw(st.integers(2, 6))
     r = draw(st.integers(1, m))
     vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
                             min_size=r, max_size=r))
     f = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any))
+    flip = draw(st.booleans())
     points = []
     for c in draw(st.lists(st.lists(st.integers(-2, 3), min_size=r, max_size=r),
                            min_size=1, max_size=9)):
         p = [dot(c, [v[i] for v in vectors]) for i in range(m)]
-        side = dot(f, p)
+        side = dot(f, p) if flip else any(p)  # True > 0 keeps p as drawn
         if side:
             points.append(tuple(x if side > 0 else -x for x in p))
     assume(points)
@@ -224,13 +234,23 @@ def pointed_configurations(draw):
 @given(pointed_configurations())
 @example(([(1, 0), (0, 1), (1, 1)], [2, 0, 1]))  # the two-cell fan
 @example(([(1, 1, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1)], [3, 0, 2, 1]))  # rank 2 in 3, repeats
+@example(([(1, 0), (0, 1), (-1, -1)], [0, 1, 2]))  # positively spans the plane
+@example(([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)], [0, 1, 3, 2]))  # a line, then more
 @settings(max_examples=400, deadline=None)
 def test_placing_triangulation_matches_facet_normal_oracle(data):
-    """Barycentric visibility gives the cells, order and determinants of the facet normals."""
+    """Barycentric visibility gives the cells, order and determinants of the facet normals.
+
+    It also rejects exactly the configurations that the pointedness LP rejects.
+    """
     points, order = data
+    try:
+        oracle._assert_pointed(points)
+    except DegenerateSpanError:
+        with pytest.raises(DegenerateSpanError):
+            placing_triangulation(points, order=order)
+        return
     want = oracle.placing_triangulation(points, order=order)
     assert _cells(placing_triangulation(points, order=order)) == _cells(want)
-    assert _cells(placing_triangulation(points, order=order, pointed=True)) == _cells(want)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -253,7 +273,10 @@ def test_cell_det_and_adjugate_are_over_listed_indices(seed):
     order = list(range(33))
     random.Random(seed).shuffle(order)
     tri = placing_triangulation(hive_matrix(4), order=order)
+    k = tri.span_dim
     for cell in tri.cells:
-        mat = [[tri.coords[i][r] for i in cell.indices] for r in range(tri.span_dim)]
+        mat = [[tri.coords[i][r] for i in cell.indices] for r in range(k)]
         assert cell.det == det(mat)
-        assert [list(row) for row in cell.adjugate] == adjugate(mat)
+        # adj M = det(M) I; a cofactor adjugate of a 30 x 30 matrix is too slow
+        product = [[dot(row, col) for col in zip(*mat)] for row in cell.adjugate]
+        assert product == [[cell.det if i == j else 0 for j in range(k)] for i in range(k)]
