@@ -8,15 +8,17 @@ generic direction.
 
 A cone can be decomposed on either of two sides.  decompose_cone works on
 the primal side: it triangulates the tangent cone's rays and decomposes each
-cell into signed half-open unimodular cones, exactly.  The count works on the
-polar side: it does the same to the polar of each tangent cone, the cone over
-the facet rows tight at the vertex, drops pieces of lower dimension, and
-polarizes each unimodular piece into a closed cone.  That sum is exact modulo
-cones that contain lines, whose generating functions are zero (Barvinok and
-Pommersheim 1999; De Loera, Hemmecke, Tauzer and Yoshida 2004).  Hive
-polytopes favour the polar: their rows are short vectors, while the rays of
-their degenerate tangent cones are long, so polar cells have far smaller
-determinants and decompose into fewer leaves.
+cell into signed unimodular cones, each made half-open along one interior
+direction with ties broken lexicographically, so the sum is exact and
+deterministic.  The count works on the polar side: it does the same to the
+polar of each tangent cone, the cone over the facet rows tight at the vertex,
+drops pieces of lower dimension, and polarizes each unimodular piece into a
+closed cone.  That sum is exact modulo cones that contain lines, whose
+generating functions are zero (Barvinok and Pommersheim 1999; De Loera,
+Hemmecke, Tauzer and Yoshida 2004).  Hive polytopes favour the polar: their
+rows are short vectors, while the rays of their degenerate tangent cones are
+long, so polar cells have far smaller determinants and decompose into fewer
+leaves.
 """
 
 from __future__ import annotations
@@ -71,12 +73,13 @@ class SignedUnimodularCone:
     """Half-open unimodular cone with a sign, one piece of a decomposition.
 
     open_facets[i] marks the facet spanned by the rays other than i as
-    excluded; the convention is fixed by the decomposition's interior
-    direction and makes the signed indicator sum exact, not just exact
-    modulo lower-dimensional cones.  inverse holds the rows of the inverse
-    of the ray matrix, so inverse[i] . x is the coordinate of x along
-    rays[i].  The count's closed polar leaves record as apex the homogenized
-    int ray (q v, q) of their vertex v (see polyhedra.vertex_of).
+    excluded.  decompose_cone sets it by one lexicographically perturbed
+    interior direction (see _barvinok_recurse), which makes the signed
+    indicator sum exact, not just exact modulo lower-dimensional cones.
+    inverse holds the rows of the inverse of the ray matrix, so
+    inverse[i] . x is the coordinate of x along rays[i].  The count's closed
+    polar leaves record as apex the homogenized int ray (q v, q) of their
+    vertex v (see polyhedra.vertex_of).
     """
 
     sign: int
@@ -90,10 +93,6 @@ class SignedUnimodularCone:
 class CountResult:
     value: int
     method: str
-
-
-class _DegenerateDirection(Exception):
-    """Internal retry signal: chosen direction hit a facet or ray hyperplane."""
 
 
 def _chart_rays(rows, rhs, dim):
@@ -202,16 +201,6 @@ def count_naive(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP) -> CountResu
     return CountResult(sum(1 for _ in points), NAIVE)
 
 
-def _interior_direction(rays, attempt, seed):
-    """Positive integer combination of the rays; attempt 0 is the plain sum."""
-    dim = len(rays[0])
-    if attempt == 0:
-        return tuple(sum(r[i] for r in rays) for i in range(dim))
-    rng = random.Random((seed + 1) * 1_000_003 + attempt)
-    weights = [rng.randint(1, 16 + attempt) for _ in rays]
-    return tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(dim))
-
-
 def _short_vector(adj, target):
     """Nonzero lattice vector of the adjugate-column lattice, sup-norm < target.
 
@@ -254,17 +243,18 @@ def _barvinok_recurse(sign, rays, adj, D, y, apex, out):
     adj and D are the adjugate and determinant of the matrix with columns
     rays; each child's come from its parent's by a rank-one update.  With an
     interior direction y, each unimodular leaf is cone(rays) made half-open
-    along y, and a direction on a facet or ray hyperplane raises
-    _DegenerateDirection.  With y None the rays generate a piece of a polar
-    cone: pieces of lower dimension are dropped, and each leaf is the closed
-    polar {x : g . x <= 0 for every generator g} of its cone.
+    along y + (e, e^2, ...) for a small e > 0: the facet opposite ray i, with
+    inner normal n the i-th row of the inverse, is open when n . y < 0, or
+    when n . y = 0 and the first nonzero entry of n is negative.  That one
+    perturbed direction lies on no hyperplane, so it decides every piece of
+    every cell consistently and the signed indicator sum of the leaves is
+    exactly that of cone(rays) (Brion and Vergne 1997; Koeppe and Verdoolaege
+    2008).  With y None the rays generate a piece of a polar cone: pieces of
+    lower dimension are dropped, and each leaf is the closed polar
+    {x : g . x <= 0 for every generator g} of its cone.
     """
     d = len(rays)
     sgn_d = 1 if D > 0 else -1
-    if y is not None:
-        checks = [sgn_d * dot(row, y) for row in adj]
-        if any(c == 0 for c in checks):
-            raise _DegenerateDirection
     if abs(D) == 1:
         if y is None:
             # for G the generators as rows the polar's rays are the columns of
@@ -275,10 +265,11 @@ def _barvinok_recurse(sign, rays, adj, D, y, apex, out):
                 tuple([tuple([-v for v in g]) for g in rays]),
             )
         else:
+            inverse = tuple(tuple(D * v for v in row) for row in adj)
             leaf = (
                 tuple(tuple(r) for r in rays),
-                tuple(c < 0 for c in checks),
-                tuple(tuple(D * v for v in row) for row in adj),
+                tuple(next(c for c in (dot(n, y), *n) if c) < 0 for n in inverse),
+                inverse,
             )
         out.append(SignedUnimodularCone(sign, apex, *leaf))
         return
@@ -316,25 +307,25 @@ def decompose_cone(cone: VertexCone, seed: int = 0):
     """Signed half-open unimodular cones whose indicator sum is exactly cone.
 
     Non-simplicial input is first triangulated by a placing triangulation of
-    its rays; the half-open convention along an interior direction removes
-    both the triangulation overlaps and the decomposition overcounts.
+    its rays.  Every piece is made half-open along the sum of the rays, an
+    interior direction, with ties on a facet broken lexicographically (see
+    _barvinok_recurse); that removes both the triangulation overlaps and the
+    decomposition overcounts.  The result is deterministic: seed is accepted
+    for compatibility and has no effect.
+
+    Raises ValueError when the rays do not span the ambient space, and
+    DegenerateSpanError when the cone contains a line.
     """
     rays = cone.rays
     if not rays:
         return [SignedUnimodularCone(1, cone.apex, (), (), ())]
-    cells = _simplicial_cells(rays)
-    for attempt in range(64):
-        y = _interior_direction(rays, attempt, seed)
-        out = []
-        try:
-            for cell in cells:
-                _barvinok_recurse(1, *cell, y, cone.apex, out)
-            return out
-        except _DegenerateDirection:
-            # keeping the exception would keep its traceback, whose frames
-            # refer back to this one: a cycle only the cyclic collector frees
-            pass
-    raise InvariantError("no generic interior direction found")
+    if len(echelon_pivots(rays, range(len(rays)))) < len(rays[0]):
+        raise ValueError("decompose_cone needs a full-dimensional cone")
+    y = tuple(map(sum, zip(*rays)))
+    out = []
+    for cell in _simplicial_cells(rays):
+        _barvinok_recurse(1, *cell, y, cone.apex, out)
+    return out
 
 
 def _facet_mask(on):

@@ -27,18 +27,6 @@ def hive_indices(rank: int) -> list[Index]:
     return out
 
 
-def entry_count(rank: int) -> int:
-    return (rank + 1) * (rank + 2) // 2
-
-
-def boundary_indices(rank: int) -> set[Index]:
-    return {(i, j, k) for (i, j, k) in hive_indices(rank) if i == 0 or j == 0 or k == 0}
-
-
-def interior_indices(rank: int) -> list[Index]:
-    return [(i, j, k) for (i, j, k) in hive_indices(rank) if i > 0 and j > 0 and k > 0]
-
-
 def rhombus_constraints(rank: int) -> list[tuple[int, ...]]:
     """Rows w with w . h <= 0 expressing the three rhombus families.
 
@@ -203,23 +191,3 @@ def is_hive_pattern(p: HivePattern) -> bool:
             return False
     return True
 
-
-def read_boundary(p: HivePattern):
-    """Recover (lambda, mu, nu) from the boundary of a pattern by differencing.
-
-    Returns three r-tuples; for a member of the hive polytope of a triple they
-    agree with the triple's first r parts.
-    """
-    r = p.rank
-    e = p.entries
-    lam = tuple(e[(0, t, r - t)] - e[(0, t - 1, r - t + 1)] for t in range(1, r + 1))
-    mu = tuple(e[(t, r - t, 0)] - e[(t - 1, r - t + 1, 0)] for t in range(1, r + 1))
-    nu = tuple(e[(t, 0, r - t)] - e[(t - 1, 0, r - t + 1)] for t in range(1, r + 1))
-    return lam, mu, nu
-
-
-def pattern_from_vector(rank: int, values) -> HivePattern:
-    order = hive_indices(rank)
-    if len(values) != len(order):
-        raise ValueError(f"expected {len(order)} values, got {len(values)}")
-    return HivePattern(rank, {idx: Fraction(v) for idx, v in zip(order, values)})

@@ -194,7 +194,7 @@ def is_unimodular(tri: Triangulation):
     return True, None
 
 
-def cell_contains(tri: Triangulation, cell: SimplicialCell, target_coords):
+def cell_contains(cell: SimplicialCell, target_coords):
     """Coefficients adj target / det of target over the cell, or None outside it."""
     sol = [Fraction(dot(row, target_coords), cell.det) for row in cell.adjugate]
     return sol if all(c >= 0 for c in sol) else None
@@ -247,7 +247,7 @@ def integral_vertex_witness(b, rank: int):
     target = _span_coordinates(tri.span_basis, tuple(b))
     blocked = False
     for cell in tri.cells:
-        coeffs = cell_contains(tri, cell, target)
+        coeffs = cell_contains(cell, target)
         if coeffs is None:
             continue
         if abs(cell.det) != 1:

@@ -43,10 +43,6 @@ def parse_weight(text: str) -> Weight:
     return validate_weight(parse_parts(text))
 
 
-def format_weight(w) -> str:
-    return ",".join(str(x) for x in w)
-
-
 def weight_size(w) -> int:
     return sum(w)
 
@@ -114,10 +110,6 @@ class WeightTriple:
     @property
     def sizes(self) -> tuple[int, int, int]:
         return (weight_size(self.lam), weight_size(self.mu), weight_size(self.nu))
-
-    def size_consistent(self) -> bool:
-        a, b, c = self.sizes
-        return c == a + b
 
 
 def make_triple(lam, mu, nu, rank: int | None = None) -> WeightTriple:

@@ -240,7 +240,7 @@ def test_criterion_8_triangulation_small_ranks(capsys):
                     target[r] += w * pts[i][r]
             inside = strict = 0
             for cell in tri.cells:
-                coeffs = cell_contains(tri, cell, target)
+                coeffs = cell_contains(cell, target)
                 if coeffs is None:
                     continue
                 inside += 1

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from _lll_oracle import det, rank
 from _reduce_oracle import lp_reduce_bounded
 from _series_oracle import (
     _series_mul,
@@ -205,6 +206,79 @@ def _in_half_open(leaf, p):
         if not is_open and coord < 0:
             return 0
     return 1
+
+
+@st.composite
+def pointed_cones(draw):
+    """Pointed full-dimensional cones at 0 in dimension 2-4 over 2-6 rays, entries in [-2, 2].
+
+    Each ray is flipped to the positive side of one drawn functional c, so
+    the cone is pointed; rays need be neither primitive nor extreme.
+    """
+    d = draw(st.integers(2, 4))
+    c = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
+    ray = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(lambda r: dot(r, c))
+    rays = [
+        tuple(r) if dot(r, c) > 0 else tuple(-v for v in r)
+        for r in draw(st.lists(ray, min_size=d, max_size=6))
+    ]
+    assume(rank(rays) == d)
+    return VertexCone((0,) * d, tuple(rays))
+
+
+def _facet_normals(rays):
+    """Inner normals n of the facets of a pointed full-dimensional cone(rays), by brute force.
+
+    Every d - 1 independent rays span a hyperplane; it bounds the cone when
+    all rays lie on one side, and the cone is {x : n . x >= 0 for every n}.
+    """
+    d = len(rays[0])
+    normals = []
+    for sub in itertools.combinations(rays, d - 1):
+        # the generalized cross product: n . x = det(sub rows, x)
+        n = [(-1) ** (d - 1 + j) * det([r[:j] + r[j + 1 :] for r in sub]) for j in range(d)]
+        sides = {(dot(n, r) > 0) - (dot(n, r) < 0) for r in rays} - {0}
+        if any(n) and len(sides) == 1:
+            side = sides.pop()
+            normals.append([side * v for v in n])
+    return normals
+
+
+@given(pointed_cones())
+@example(VertexCone((0, 0), ((1, 0), (1, 2))))
+@example(VertexCone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 2))))
+@example(VertexCone((0, 0, 0), ((1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2))))
+@settings(max_examples=60, deadline=None)
+def test_decompose_cone_is_exact_on_pointed_cones(cone):
+    """The signed half-open indicator sum is membership in cone at every point of a box."""
+    leaves = decompose_cone(cone)
+    assert decompose_cone(cone, seed=7) == leaves
+    d = len(cone.apex)
+    for leaf in leaves:
+        assert [[dot(row, u) for u in leaf.rays] for row in leaf.inverse] == [
+            [int(i == j) for j in range(d)] for i in range(d)
+        ]
+    normals = _facet_normals(cone.rays)
+    for p in itertools.product(range(-2, 3), repeat=d):
+        signed = 0
+        for leaf in leaves:
+            coords = [dot(row, p) for row in leaf.inverse]
+            signed += leaf.sign * all(
+                x > 0 if is_open else x >= 0 for x, is_open in zip(coords, leaf.open_facets)
+            )
+        assert signed == all(dot(n, p) >= 0 for n in normals), p
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        VertexCone((0, 0), ((1, -1),)),
+        VertexCone((0, 0, 0), ((1, 0, 1), (1, 0, -1))),
+    ],
+)
+def test_decompose_cone_rejects_lower_dimensional_cones(cone):
+    with pytest.raises(ValueError, match="full-dimensional"):
+        decompose_cone(cone)
 
 
 def test_lr_coefficient_classic():

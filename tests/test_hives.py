@@ -13,24 +13,16 @@ from hivecount import (
     is_hive_pattern,
     make_triple,
 )
-from hivecount.hives import (
-    boundary_indices,
-    entry_count,
-    interior_indices,
-    pattern_from_vector,
-    read_boundary,
-    rhombus_constraints,
-)
+from hivecount.hives import rhombus_constraints
 from hivecount.weights import dilate_triple
 
 
 def test_index_counts():
     for r in range(1, 7):
         idx = hive_indices(r)
-        assert len(idx) == (r + 1) * (r + 2) // 2 == entry_count(r)
+        assert len(idx) == (r + 1) * (r + 2) // 2
         assert all(i + j + k == r for (i, j, k) in idx)
-        assert len(boundary_indices(r)) == 3 * r
-        assert len(interior_indices(r)) == entry_count(r) - 3 * r
+        assert sum(0 in ix for ix in idx) == 3 * r
 
 
 def test_rhombus_row_count():
@@ -75,7 +67,7 @@ def test_homogenized_block_structure():
     system = build_hive_polytope(t)
     rows, rhs = homogenize(system)
     nb, ns = len(system.B), len(system.R)
-    nh = entry_count(t.rank)
+    nh = len(hive_indices(t.rank))
     for i in range(nb):
         assert rows[i][:nh] == system.B[i]
         assert all(v == 0 for v in rows[i][nh:])
@@ -99,19 +91,16 @@ def test_pattern_round_trip_and_rhombus_check():
     rows = [[0], [3, 2], [5, 4, 3]]
     p = HivePattern.from_rows(rows)
     assert is_hive_pattern(p)
-    vec = p.vector()
-    q = pattern_from_vector(2, vec)
+    q = HivePattern(2, dict(zip(hive_indices(2), p.vector())))
     assert q == p
 
 
-def test_read_boundary_differences():
-    rows = [[0], [3, 2], [5, 4, 3]]
-    p = HivePattern.from_rows(rows)
-    lam_b, mu_b, nu_b = read_boundary(p)
-    assert lam_b == (2, 1)
-    assert mu_b == (1, 1)
-    assert nu_b == (3, 2)
-    assert sum(lam_b) + sum(mu_b) == sum(nu_b)
+def test_classic_hive_lies_in_its_polytope():
+    # the boundary of the classic rank-2 hive differences to its triple
+    vec = HivePattern.from_rows([[0], [3, 2], [5, 4, 3]]).vector()
+    system = build_hive_polytope(make_triple((2, 1), (1, 1), (3, 2)))
+    assert tuple(sum(a * v for a, v in zip(row, vec)) for row in system.B) == system.rhs_b
+    assert all(sum(a * v for a, v in zip(row, vec)) <= 0 for row in system.R)
 
 
 def test_non_hive_pattern_detected():

@@ -127,7 +127,7 @@ def test_coverage_and_uniqueness_sampling():
                 target[r] += w * pts[i][r]
         inside = strict = 0
         for cell in tri.cells:
-            coeffs = cell_contains(tri, cell, target)
+            coeffs = cell_contains(cell, target)
             if coeffs is None:
                 continue
             inside += 1
@@ -192,8 +192,8 @@ def test_write_triangulation_format(tmp_path):
 def test_cell_contains_rejects_outside_point():
     tri = placing_triangulation(((1, 0), (0, 1)))
     cell = tri.cells[0]
-    inside = cell_contains(tri, cell, (3, 2))
-    outside = cell_contains(tri, cell, (-1, 2))
+    inside = cell_contains(cell, (3, 2))
+    outside = cell_contains(cell, (-1, 2))
     assert inside is not None
     assert outside is None
 
