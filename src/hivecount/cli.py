@@ -42,19 +42,21 @@ def _triple_from_args(args):
 
 def _triples_from_file(path):
     triples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise WeightError(
-                    f"{path}:{lineno}: expected three weights, found {len(parts)}"
-                )
-            triples.append(
-                make_triple(parse_weight(parts[0]), parse_weight(parts[1]), parse_weight(parts[2]))
-            )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise WeightError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise WeightError(f"{path}:{lineno}: expected three weights, found {len(parts)}")
+        triples.append(
+            make_triple(parse_weight(parts[0]), parse_weight(parts[1]), parse_weight(parts[2]))
+        )
     if not triples:
         raise WeightError(f"{path}: no triples found")
     return triples

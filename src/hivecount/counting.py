@@ -49,6 +49,7 @@ from .linalg import (
 # cannot hook drops per-layer metrics that perfbench/selftest.py requires
 from .polyhedra import (
     HRepPolytope,
+    LatticeChart,
     VertexCone,
     coordinate_bounds,
     enumerate_vertices,
@@ -118,12 +119,13 @@ def _reduce(poly: HRepPolytope):
     One double description pass over the homogenized chart answers what the
     count needs: a ray with t > 0 is a vertex (none: poly is empty), one with
     t = 0 a recession direction, and a row tight on every ray holds with
-    equality on all of poly.  Those implicit equalities are imposed with one
-    restrict_chart, whose lattice may be empty, and a second pass reads the
-    vertices of the restricted chart.  The vertices come sorted as
-    (ray, tight) pairs: ray the primitive int vector (q v, q) of the vertex v
-    in the coordinates of the returned chart (see vertex_of), bit i of tight
-    set when chart.rows[i] holds with equality there.
+    equality on all of poly.  A lone ray (a, q) is the point a / q: a
+    0-dimensional chart when q = 1, no lattice point when q > 1.  Otherwise
+    those implicit equalities are imposed with one restrict_chart, whose
+    lattice may be empty, and a second pass reads the restricted vertices.
+    The vertices come sorted as (ray, tight) pairs: ray the primitive int
+    vector (q v, q) of the vertex v in the returned chart's coordinates (see
+    vertex_of), bit i of tight set when chart.rows[i] holds with equality at v.
 
     Raises UnboundedError when poly is unbounded and has lattice points.
     """
@@ -132,14 +134,15 @@ def _reduce(poly: HRepPolytope):
         rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
         if all(ray[-1] == 0 for ray, _ in rays):
             return None
+        if len(rays) == 1 and not lines:
+            (*a, q), _ = rays[0]
+            return None if q > 1 else (LatticeChart(chart.to_ambient(a), (), (), ()), [((1,), 0)])
         implicit = -1
         for _, mask in rays:
             implicit &= mask
         if implicit:
             idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
-            chart = restrict_chart(
-                chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx]
-            )
+            chart = restrict_chart(chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx])
         if lines or any(ray[-1] == 0 for ray, _ in rays):
             raise UnboundedError("the polytope is unbounded; count is infinite")
         if implicit:

@@ -12,7 +12,7 @@ from itertools import islice
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
-from .linalg import add_row_column, dot, echelon_pivots, hermite_solve, primitive, vec_gcd
+from .linalg import add_row_column, dot, echelon_pivots, hermite_solve, identity, primitive, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -249,10 +249,6 @@ class LatticeChart:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.origin)
-
     def to_ambient(self, t):
         return tuple(
             o + sum(bv[i] * tv for bv, tv in zip(self.basis, t))
@@ -261,11 +257,10 @@ class LatticeChart:
 
 
 def _rewrite_rows(rows, rhs, origin, basis):
-    """Push a x <= b through x = origin + basis t; drops satisfied constant rows."""
-    out_rows = []
-    out_rhs = []
+    """Push a x <= b through x = origin + basis t (None: identity); drops satisfied constant rows."""
+    out_rows, out_rhs = [], []
     for a, b in zip(rows, rhs):
-        new_row = tuple([dot(a, bv) for bv in basis])
+        new_row = tuple(a) if basis is None else tuple([dot(a, bv) for bv in basis])
         new_rhs = b - dot(a, origin)
         if any(new_row):
             out_rows.append(new_row)
@@ -294,18 +289,41 @@ def dedupe_rows(rows, rhs):
 def lattice_chart(poly: HRepPolytope) -> LatticeChart:
     """Solve away the equalities of poly over the integers.
 
+    A row with one nonzero entry c (each row fixing a hive's boundary is one)
+    fixes its coordinate to b / c by substitution.  Only the other rows go to
+    hermite_solve, over the free columns, which keep the order its column
+    swaps would give them: one-entry rows get hermite_solve's chart exactly.
+
     Raises InfeasibleLatticeError when the equality system has no integral
     solution or an inequality reduces to an impossible constant.
     """
-    n = poly.dim
-    if poly.eq_rows:
-        x0, kernel = hermite_solve([list(r) for r in poly.eq_rows], list(poly.eq_rhs))
-    else:
-        x0 = [0] * n
-        kernel = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows, rhs = _rewrite_rows(poly.rows, poly.rhs, x0, kernel)
-    rows, rhs = dedupe_rows(rows, rhs)
-    return LatticeChart(tuple(x0), tuple(tuple(k) for k in kernel), tuple(rows), tuple(rhs))
+    x0, order, fixed, general = [0] * poly.dim, list(range(poly.dim)), 0, []
+    for row, b in zip(poly.eq_rows, poly.eq_rhs):
+        support = [j for j, v in enumerate(row) if v]
+        if len(support) != 1:
+            general.append((row, b))
+            continue
+        j = support[0]
+        value, rest = divmod(b, row[j])
+        p = order.index(j)
+        if rest or p < fixed and x0[j] != value:
+            raise InfeasibleLatticeError(f"no integral x_{j} meets the equality rows")
+        if p >= fixed:
+            x0[j], order[p], order[fixed] = value, order[fixed], j
+            fixed += 1
+    free = order[fixed:]
+    t0, kernel = [0] * len(free), identity(len(free))
+    if general:
+        sub = [[a[j] for j in free] for a, _ in general]
+        t0, kernel = hermite_solve(sub, [b - dot(a, x0) for a, b in general])
+    rows = [[a[j] for j in free] for a in poly.rows]
+    rhs = [b - dot(a, x0) for a, b in zip(poly.rows, poly.rhs)]
+    rows, rhs = dedupe_rows(*_rewrite_rows(rows, rhs, t0, kernel if general else None))
+    for j, t in zip(free, t0):
+        x0[j] = t
+    cols, zero = dict(zip(free, zip(*kernel))), (0,) * len(kernel)
+    basis = tuple(zip(*[cols.get(i, zero) for i in range(len(x0))]))
+    return LatticeChart(tuple(x0), basis, tuple(rows), tuple(rhs))
 
 
 def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
@@ -313,7 +331,7 @@ def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
     t0, kernel = hermite_solve([list(r) for r in eq_rows], list(eq_rhs))
     origin = chart.to_ambient(t0)
     basis = tuple(
-        tuple(sum(bv[i] * kv for bv, kv in zip(chart.basis, k)) for i in range(chart.ambient_dim))
+        tuple(sum(bv[i] * kv for bv, kv in zip(chart.basis, k)) for i in range(len(chart.origin)))
         for k in kernel
     )
     rows, rhs = _rewrite_rows(chart.rows, chart.rhs, t0, kernel)

@@ -29,13 +29,10 @@ def validate_weight(parts) -> Weight:
 
 def parse_parts(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of integers in any order, such as '1,3,0'."""
-    items = [t.strip() for t in text.split(",") if t.strip() != ""]
-    if not items:
-        raise WeightError(f"empty weight {text!r}")
     try:
-        return tuple(int(t) for t in items)
+        return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise WeightError(f"cannot parse weight {text!r}") from exc
+        raise WeightError(f"cannot parse weight {text!r}: each field must be an integer") from exc
 
 
 def parse_weight(text: str) -> Weight:

@@ -1,4 +1,9 @@
-"""The LP chart reduction that counting._reduce replaced, kept as a test oracle.
+"""The chart reduction that counting._reduce replaced, kept as a test oracle.
+
+hnf_lattice_chart is the lattice chart as polyhedra.lattice_chart built it
+before one-entry equality rows were substituted: one hermite_solve over every
+equality row, or the identity without any, and a dense rewrite of every
+inequality through the kernel basis.
 
 lp_reduce maximizes the minimum slack of the chart's rows; a positive optimum
 certifies a full-dimensional chart, a negative one an empty polytope, and a
@@ -10,14 +15,27 @@ feasibility programs.  Together they cost about seven simplex runs per count.
 """
 
 from hivecount.errors import InfeasibleLatticeError, InvariantError, UnboundedError
-from hivecount.linalg import dot
+from hivecount.linalg import dot, hermite_solve, identity
 from hivecount.polyhedra import (
     OPTIMAL,
+    LatticeChart,
+    _rewrite_rows,
+    dedupe_rows,
     interior_point,
-    lattice_chart,
     lp_standard,
     restrict_chart,
 )
+
+
+def hnf_lattice_chart(poly):
+    """Solve away the equalities of poly with one Hermite normal form."""
+    if poly.eq_rows:
+        x0, kernel = hermite_solve([list(r) for r in poly.eq_rows], list(poly.eq_rhs))
+    else:
+        x0, kernel = [0] * poly.dim, identity(poly.dim)
+    rows, rhs = _rewrite_rows(poly.rows, poly.rhs, x0, kernel)
+    rows, rhs = dedupe_rows(rows, rhs)
+    return LatticeChart(tuple(x0), tuple(tuple(k) for k in kernel), tuple(rows), tuple(rhs))
 
 
 def _implicit_rows(chart, x):
@@ -53,7 +71,7 @@ def _implicit_rows(chart, x):
 def lp_reduce(poly):
     """Full-dimensional lattice chart of poly, or None when no lattice points."""
     try:
-        chart = lattice_chart(poly)
+        chart = hnf_lattice_chart(poly)
         while chart.dim > 0:
             tstar, x = interior_point(chart.rows, chart.rhs, chart.dim)
             if tstar < 0:

@@ -124,6 +124,16 @@ def test_count_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["count", "nonzero"])
+def test_input_file_not_utf8_exits_two(tmp_path, capsys, command):
+    batch = tmp_path / "triples.txt"
+    batch.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, "--input-file", str(batch))
+    assert code == 2
+    assert str(batch) in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_count_naive_cap_exit_four(capsys):
     code, _, err = run(
         capsys,

@@ -49,6 +49,7 @@ from hivecount.polyhedra import (
     _extreme_rays,
     enumerate_vertices,
     incidence_bitsets,
+    lattice_chart,
     vertex_of,
 )
 
@@ -403,6 +404,32 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
     calls.clear()
     assert lr_coefficient(make_triple((3, 2, 2), (4, 3, 1), (6, 4, 3, 2))) == 3
     assert len(calls) == 2
+
+
+def test_single_point_takes_one_dd_pass(monkeypatch):
+    """A hive polytope that is one lattice point is read off the first pass.
+
+    Its chart has dimension 3, and every row of it is tight at its one ray,
+    yet neither restrict_chart nor a second double description pass runs.
+    """
+    import hivecount.counting as counting
+
+    def refuse(*args):
+        raise AssertionError("restrict_chart ran on a single point")
+
+    real = counting.homogenized_rays
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "restrict_chart", refuse)
+    monkeypatch.setattr(counting, "homogenized_rays", counted)
+    triple = make_triple((3, 3, 2), (2, 1), (3, 3, 3, 2))
+    assert lattice_chart(hive_hrep(triple)).dim == 3
+    assert lr_coefficient(triple) == lr_tableau_count(triple.lam, triple.mu, triple.nu) == 1
+    assert len(calls) == 1
 
 
 def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
@@ -803,6 +830,11 @@ def _ambient_points(chart):
 @example(HRepPolytope(rows=((2, 0), (-2, 0)), rhs=(1, -1)))  # the line 2x = 1, lattice-empty
 @example(HRepPolytope(rows=((2, 0), (-2, 0), (0, -1)), rhs=(1, -1, 0)))  # a lattice-empty ray
 @example(HRepPolytope(rows=(), rhs=(), eq_rows=((1, 0, 0),), eq_rhs=(0,)))  # a plane, no rows
+@example(HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1)), rhs=(2, -2, -1, 1)))  # (2, -1)
+@example(HRepPolytope(rows=((2,), (-2,)), rhs=(1, -1)))  # the point 1/2
+@example(HRepPolytope(rows=((2, 0), (-2, 0), (0, 2), (0, -2)), rhs=(1, -1, 3, -3)))  # (1/2, 3/2)
+@example(HRepPolytope(rows=((1, 0), (2, 0), (-1, 0), (-3, 0), (0, 1), (0, 1), (0, -1), (1, -1)),
+                      rhs=(1, 2, -1, -3, 0, 0, 0, 1)))  # (1, 0) cut out by parallel rows
 @settings(max_examples=300, deadline=None)
 def test_reduce_matches_lp_oracle(poly):
     got = _reduced(_reduce, poly)

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _corpus import LARGE_WEIGHT_ROW, LARGE_WEIGHT_STRETCH, SMALL_WEIGHT_ROWS
 from _dd_oracle import scan_extreme_rays
 from _lll_oracle import rank as matrix_rank
 from _lp_oracle import fraction_simplex
+from _reduce_oracle import hnf_lattice_chart
 from _samplers import random_triple_corpus
 from _vertex_oracle import kernel_line, subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
-from hivecount.counting import hive_hrep
+from hivecount.counting import _iter_chart_points, hive_hrep
 from hivecount.errors import InfeasibleLatticeError
 from hivecount.linalg import dot, primitive
 from hivecount.polyhedra import (
@@ -359,6 +361,92 @@ def test_restrict_chart_drops_dimension():
     # impose x = 2 (in chart coordinates) as a new equality
     sub = restrict_chart(chart, [(1, 0)], [2])
     assert sub.dim == 1
+
+
+def _chart_or_error(chart_fn, poly):
+    try:
+        return chart_fn(poly)
+    except InfeasibleLatticeError:
+        return "lattice-empty"
+
+
+_PAPER_TRIPLES = [make_triple(*t) for t, _ in SMALL_WEIGHT_ROWS + [LARGE_WEIGHT_ROW]]
+_PAPER_TRIPLES += [make_triple(*t) for t, _ in LARGE_WEIGHT_STRETCH]
+
+hive_triples = st.one_of(
+    st.sampled_from(_PAPER_TRIPLES),
+    st.builds(
+        lambda rank, seed: random_triple_corpus(random.Random(seed), 1, rank, 4)[0],
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+    ),
+)
+
+
+@given(hive_triples)
+@settings(max_examples=80, deadline=None)
+def test_lattice_chart_matches_hnf_on_hive_charts(triple):
+    """Substituting the boundary rows gives the Hermite chart field for field."""
+    poly = hive_hrep(triple)
+    assert _chart_or_error(lattice_chart, poly) == _chart_or_error(hnf_lattice_chart, poly)
+
+
+@st.composite
+def equality_systems(draw):
+    """The box [-2, 2]^n cut by up to seven equality rows, in any order.
+
+    Most rows have one nonzero entry, +-1 or +-2, some fix a coordinate that
+    another row fixes too, to the same value or not, and up to two are
+    general rows with entries in [-2, 2].  Right-hand sides may be Fractions.
+    """
+    n = draw(st.integers(1, 4))
+    coordinate = st.integers(0, n - 1)
+    values = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2)))
+    )
+    eqs = []
+    for j, c, b in draw(st.lists(st.tuples(coordinate, st.sampled_from((1, -1, 2, -2)), values),
+                                 max_size=4)):
+        eqs.append((tuple(c if i == j else 0 for i in range(n)), b))
+    if eqs:
+        # the same row scaled, which fixes its coordinate to the same value
+        for k, scale in draw(st.lists(st.tuples(st.integers(0, len(eqs) - 1),
+                                                st.sampled_from((-1, 2))), max_size=1)):
+            eqs.append((tuple(scale * v for v in eqs[k][0]), scale * eqs[k][1]))
+    eqs += draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * n), values), max_size=2))
+    eqs = draw(st.permutations(eqs))
+    rows, rhs = cube_rows(n, -2, 2)
+    return HRepPolytope(rows, rhs, [a for a, _ in eqs], [b for _, b in eqs])
+
+
+def _box_points(poly):
+    """Lattice points of poly inside [-2, 2]^n, by trying every one."""
+    return {
+        x
+        for x in itertools.product(range(-2, 3), repeat=poly.dim)
+        if all(dot(a, x) == b for a, b in zip(poly.eq_rows, poly.eq_rhs))
+        and all(dot(a, x) <= b for a, b in zip(poly.rows, poly.rhs))
+    }
+
+
+@given(equality_systems())
+@example(HRepPolytope(*cube_rows(2, -2, 2)))  # no equalities
+@example(HRepPolytope(*cube_rows(2, -2, 2), [(0, 2), (0, -1)], [2, -1]))  # a consistent duplicate
+@example(HRepPolytope(*cube_rows(2, -2, 2), [(0, 2), (0, 1)], [2, 2]))  # a conflicting one
+@example(HRepPolytope(*cube_rows(1, -2, 2), [(2,)], [Fraction(1, 2)]))  # 2x = 1/2
+@example(HRepPolytope(*cube_rows(1, -2, 2), [(-2,)], [Fraction(4)]))  # -2x = 4 as a Fraction
+@example(HRepPolytope(*cube_rows(3, -2, 2), [(1, 1, 0), (0, 1, 0), (1, 0, -1)], [1, 2, 0]))  # general first
+@settings(max_examples=300, deadline=None)
+def test_lattice_chart_matches_hnf_on_mixed_systems(poly):
+    """Both charts reach the brute-force lattice points, or both raise InfeasibleLatticeError."""
+    want = _box_points(poly)
+    charts = [_chart_or_error(chart_fn, poly) for chart_fn in (lattice_chart, hnf_lattice_chart)]
+    if "lattice-empty" in charts:
+        assert charts == ["lattice-empty"] * 2 and not want
+        return
+    for chart in charts:
+        points = _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim)
+        assert {chart.to_ambient(t) for t in points} == want
 
 
 @given(

@@ -38,7 +38,7 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "1,,2", "a,b", "3 2"):
+    for text in ("", "1,,2", "3,,1", "3,1,", "a,b", "3 2"):
         with pytest.raises(WeightError):
             parse_weight(text)
 
