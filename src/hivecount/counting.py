@@ -113,24 +113,66 @@ def _chart_rays(rows, rhs, dim):
     return homogenized_rays(pinned, rhs, len(cols)), True
 
 
+def _pinned_by_pairs(rows, rhs):
+    """(rows, rhs) of the equalities p t = c that opposite rows pin; None without lattice points.
+
+    Rows a t <= b and a' t <= b' with a / g = -a' / g' = p, g and g' the gcds
+    of a and a', hold p t in [-b' / g', b / g].  An empty range leaves the
+    polyhedron empty.  A range of one value c pins p t = c, one equality row
+    per pair, and since p is primitive that has lattice points only when c
+    is an integer.  Rows must have one row per direction, as dedupe_rows
+    leaves them.
+    """
+    bound = {}
+    eq_rows, eq_rhs = [], []
+    for a, b in zip(rows, rhs):
+        g = vec_gcd(a)
+        p = a if g == 1 else tuple([v // g for v in a])
+        opposite = bound.get(tuple([-v for v in p]))
+        if opposite is None:
+            bound[p] = b, g
+            continue
+        b2, g2 = opposite
+        width = b * g2 + b2 * g  # g g' (b / g + b' / g')
+        if width < 0:
+            return None
+        if width == 0:
+            c, rest = divmod(b, g)
+            if rest:
+                return None
+            eq_rows.append(p)
+            eq_rhs.append(c)
+    return eq_rows, eq_rhs
+
+
 def _reduce(poly: HRepPolytope):
     """(full-dimensional lattice chart of poly, its vertices); None without lattice points.
 
-    One double description pass over the homogenized chart answers what the
-    count needs: a ray with t > 0 is a vertex (none: poly is empty), one with
-    t = 0 a recession direction, and a row tight on every ray holds with
-    equality on all of poly.  A lone ray (a, q) is the point a / q: a
+    Opposite rows of the lattice chart whose bounds meet, as rhombus rows of
+    a flat hive chart do, are imposed as equalities first, with one
+    restrict_chart (_pinned_by_pairs); bounds that cross, or meet off the
+    integers, leave no lattice point.  Then one double description pass
+    over the homogenized chart answers what the count needs: a ray with
+    t > 0 is a vertex (none: poly is empty), one with t = 0 a recession
+    direction, and a row tight on every ray holds with equality on all of
+    poly.  A lone ray (a, q) is the point a / q: a
     0-dimensional chart when q = 1, no lattice point when q > 1.  Otherwise
-    those implicit equalities are imposed with one restrict_chart, whose
-    lattice may be empty, and a second pass reads the restricted vertices.
-    The vertices come sorted as (ray, tight) pairs: ray the primitive int
-    vector (q v, q) of the vertex v in the returned chart's coordinates (see
-    vertex_of), bit i of tight set when chart.rows[i] holds with equality at v.
+    any implicit equalities the pairs missed are imposed with one more
+    restrict_chart, whose lattice may be empty, and a second pass reads the
+    restricted vertices.  The vertices come sorted as (ray, tight) pairs: ray
+    the primitive int vector (q v, q) of the vertex v in the returned chart's
+    coordinates (see vertex_of), bit i of tight set when chart.rows[i] holds
+    with equality at v.
 
     Raises UnboundedError when poly is unbounded and has lattice points.
     """
     try:
         chart = lattice_chart(poly)
+        pinned = _pinned_by_pairs(chart.rows, chart.rhs)
+        if pinned is None:
+            return None
+        if pinned[0]:
+            chart = restrict_chart(chart, *pinned)
         rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
         if all(ray[-1] == 0 for ray, _ in rays):
             return None
@@ -175,7 +217,7 @@ def _chart_points(poly: HRepPolytope, cap: int):
     Raises CapExceededError when the chart has more than cap dimensions.
     A chart with an interior point keeps its dimension, so one slack LP
     settles the cap for it before the double description pass, whose cost
-    grows with the vertex count (about 8 s at rank 7).
+    grows with the vertex count (27 s on a large-weight rank-7 chart).
     """
     try:
         chart = lattice_chart(poly)

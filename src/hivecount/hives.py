@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SizeMismatchError
 from .weights import WeightTriple, dilate_triple, partial_sums
@@ -27,8 +28,12 @@ def hive_indices(rank: int) -> list[Index]:
     return out
 
 
-def rhombus_constraints(rank: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def rhombus_constraints(rank: int) -> tuple[tuple[int, ...], ...]:
     """Rows w with w . h <= 0 expressing the three rhombus families.
+
+    The rows depend only on the rank, so they are built once per rank and
+    shared, as a tuple that no caller can change.
 
     For each index with i, j >= 1, taken in variable order, the three rows
     assert, in order:
@@ -57,7 +62,7 @@ def rhombus_constraints(rank: int) -> list[tuple[int, ...]]:
         rows.append(row((i, j - 1, k + 1), (i - 1, j + 1, k), (i, j, k), (i - 1, j, k + 1)))
         rows.append(row((i, j, k), (i - 1, j - 1, k + 2), (i, j - 1, k + 1), (i - 1, j, k + 1)))
         rows.append(row((i + 1, j - 1, k), (i - 1, j, k + 1), (i, j, k), (i, j - 1, k + 1)))
-    return rows
+    return tuple(rows)
 
 
 def boundary_constraints(triple: WeightTriple) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -111,13 +116,12 @@ class HiveConstraintSystem:
 
 def build_hive_polytope(triple: WeightTriple) -> HiveConstraintSystem:
     B, rhs = boundary_constraints(triple)
-    R = rhombus_constraints(triple.rank)
     return HiveConstraintSystem(
         rank=triple.rank,
         variable_order=tuple(hive_indices(triple.rank)),
         B=tuple(B),
         rhs_b=tuple(rhs),
-        R=tuple(R),
+        R=rhombus_constraints(triple.rank),
     )
 
 

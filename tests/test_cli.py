@@ -42,7 +42,7 @@ def test_python_dash_m_runs_count(tmp_path):
 
 def test_count_rank7_row(capsys):
     # a chart of dimension 15 with 60 rows, whose double description pass
-    # peaks at about 10,000 intermediate rays; the tableau rule is independent
+    # holds at most 90 rays, bottom-up; the tableau rule is independent
     lam, nu = (7, 6, 5, 4, 3, 2, 1), (13, 12, 10, 8, 6, 4, 3)
     weights = ",".join(map(str, lam))
     code, out, _ = run(capsys, "count", "--lambda", weights, "--mu", weights,

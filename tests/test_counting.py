@@ -159,7 +159,7 @@ def test_naive_cap():
 
 def test_naive_cap_precedes_vertex_enumeration():
     # rank 7: a full-dimensional chart of dimension 15 with 60 rows, whose
-    # double description pass takes seconds
+    # cap one slack LP settles before any double description pass
     lam, nu = (7, 6, 5, 4, 3, 2, 1), (13, 12, 10, 8, 6, 4, 3)
     with pytest.raises(CapExceededError):
         count_naive(hive_hrep(make_triple(lam, lam, nu)))
@@ -399,37 +399,39 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
     paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
     assert lr_coefficient(paper_row) == 557744
     assert len(calls) == 1
-    # the flat chart's implicit equality is imposed, and a second pass reads
-    # the vertices of the restricted chart
+    # the flat chart's equality is a pair of opposite rows, imposed before the
+    # pass, so one pass reads the vertices of the restricted chart
     calls.clear()
     assert lr_coefficient(make_triple((3, 2, 2), (4, 3, 1), (6, 4, 3, 2))) == 3
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_single_point_takes_one_dd_pass(monkeypatch):
     """A hive polytope that is one lattice point is read off the first pass.
 
-    Its chart has dimension 3, and every row of it is tight at its one ray,
-    yet neither restrict_chart nor a second double description pass runs.
+    Its chart has dimension 3, and opposite row pairs pin all three
+    coordinates, so the one restrict_chart of those pairs runs before the
+    pass; no restriction and no second double description pass follow it.
     """
     import hivecount.counting as counting
 
-    def refuse(*args):
-        raise AssertionError("restrict_chart ran on a single point")
-
-    real = counting.homogenized_rays
+    real_restrict, real_rays = counting.restrict_chart, counting.homogenized_rays
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def restrict(*args):
+        calls.append("restrict_chart")
+        return real_restrict(*args)
 
-    monkeypatch.setattr(counting, "restrict_chart", refuse)
-    monkeypatch.setattr(counting, "homogenized_rays", counted)
+    def rays(*args):
+        calls.append("homogenized_rays")
+        return real_rays(*args)
+
+    monkeypatch.setattr(counting, "restrict_chart", restrict)
+    monkeypatch.setattr(counting, "homogenized_rays", rays)
     triple = make_triple((3, 3, 2), (2, 1), (3, 3, 3, 2))
     assert lattice_chart(hive_hrep(triple)).dim == 3
     assert lr_coefficient(triple) == lr_tableau_count(triple.lam, triple.mu, triple.nu) == 1
-    assert len(calls) == 1
+    assert calls == ["restrict_chart", "homogenized_rays"]
 
 
 def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
@@ -804,6 +806,58 @@ def reduce_systems(draw):
     return HRepPolytope(
         rows=rows, rhs=rhs, eq_rows=eq_rows, eq_rhs=[dot(a, p) for a in eq_rows]
     )
+
+
+@st.composite
+def planted_pair_systems(draw):
+    """(poly, box): a box around a point p, cut by opposite row pairs planted near p.
+
+    The box [p - lo, p + hi] has sides of 0-2 units, and up to 2 cuts with
+    entries in [-2, 2] miss p by at most 1/2.  Each of up to 3 pairs holds
+    a t in [a p + s, a p + s'] with a primitive or not, through rows c a t
+    <= c (a p + s') and -c' a t <= -c' (a p + s) scaled by c, c' in 1..3.
+    The range is one integer (a zero-sum pair), one value off the integers
+    (no lattice point), empty (a crossing pair) or of positive width.
+    """
+    dim = draw(st.integers(1, 3))
+    p = draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim))
+    entries = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    box = [(v - draw(st.integers(0, 2)), v + draw(st.integers(0, 2))) for v in p]
+    base = box_poly(box)
+    rows, rhs = list(base.rows), list(base.rhs)
+    for a in draw(st.lists(entries, max_size=2)):
+        rows.append(tuple(a))
+        rhs.append(dot(a, p) + Fraction(draw(st.integers(-1, 4)), 2))
+    offsets = st.sampled_from(
+        [(0, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 3), Fraction(2, 3)),
+         (1, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3)), (-1, 1)]
+    )
+    for a in draw(st.lists(entries, min_size=1, max_size=3)):
+        s, s_hi = draw(offsets)
+        c, c_opp = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows += [tuple(c * v for v in a), tuple(-c_opp * v for v in a)]
+        rhs += [c * (dot(a, p) + s_hi), -c_opp * (dot(a, p) + s)]
+    return HRepPolytope(rows=rows, rhs=rhs), box
+
+
+@given(planted_pair_systems())
+@example((HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+                       rhs=(2, 0, 2, 0, 2, -2)), [(0, 2), (0, 2)]))  # x + y = 2
+@example((HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+                       rhs=(2, 0, 2, 0, 1, -2)), [(0, 2), (0, 2)]))  # 2 <= x + y <= 1
+@example((HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1), (2, 4), (-3, -6)),
+                       rhs=(2, 0, 2, 0, 4, -6)), [(0, 2), (0, 2)]))  # x + 2y = 2, scaled rows
+@example((HRepPolytope(rows=((1, 0), (-1, 0), (0, 1), (0, -1), (2, 2), (-2, -2)),
+                       rhs=(2, 0, 2, 0, 3, -3)), [(0, 2), (0, 2)]))  # x + y = 3/2
+@settings(max_examples=200, deadline=None)
+def test_planted_opposite_pairs_count_exactly(system):
+    """Pairs pinned before the DD pass keep every count and the polytope's dimension."""
+    poly, box = system
+    want = brute_count(poly.rows, poly.rhs, box)
+    assert count_barvinok(poly).value == count_naive(poly).value == want
+    reduced, oracle = _reduce(poly), lp_reduce_bounded(poly)
+    degree = 0 if reduced is None else reduced[0].dim
+    assert degree == (0 if oracle is None else oracle.dim)
 
 
 def _reduced(reduce_fn, poly):

@@ -35,6 +35,16 @@ def test_rhombus_row_count():
             assert sorted(support) == [-1, -1, 1, 1]
 
 
+def test_rhombus_rows_shared_within_a_rank():
+    # two triples of one rank get equal rows, built once and immutable
+    a = build_hive_polytope(make_triple((3, 1), (2, 2), (4, 3, 1)))
+    b = build_hive_polytope(make_triple((5, 2, 1), (1,), (5, 3, 1)))
+    assert a.rank == b.rank == 3
+    assert a.R == b.R == rhombus_constraints(3)
+    assert a.R is b.R
+    assert isinstance(a.R, tuple)
+
+
 def test_boundary_system_shape():
     t = make_triple((2, 1), (1, 1), (3, 2))
     system = build_hive_polytope(t)
