@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import ceil, comb, floor, gcd
 
 from .errors import (
@@ -146,51 +145,57 @@ def _pinned_by_pairs(rows, rhs):
 
 
 def _reduce(poly: HRepPolytope):
-    """(full-dimensional lattice chart of poly, its vertices); None without lattice points.
-
-    Opposite rows of the lattice chart whose bounds meet, as rhombus rows of
-    a flat hive chart do, are imposed as equalities first, with one
-    restrict_chart (_pinned_by_pairs); bounds that cross, or meet off the
-    integers, leave no lattice point.  Then one double description pass
-    over the homogenized chart answers what the count needs: a ray with
-    t > 0 is a vertex (none: poly is empty), one with t = 0 a recession
-    direction, and a row tight on every ray holds with equality on all of
-    poly.  A lone ray (a, q) is the point a / q: a
-    0-dimensional chart when q = 1, no lattice point when q > 1.  Otherwise
-    any implicit equalities the pairs missed are imposed with one more
-    restrict_chart, whose lattice may be empty, and a second pass reads the
-    restricted vertices.  The vertices come sorted as (ray, tight) pairs: ray
-    the primitive int vector (q v, q) of the vertex v in the returned chart's
-    coordinates (see vertex_of), bit i of tight set when chart.rows[i] holds
-    with equality at v.
-
-    Raises UnboundedError when poly is unbounded and has lattice points.
-    """
+    """_reduce_chart of the lattice chart of poly; None when that lattice is empty."""
     try:
-        chart = lattice_chart(poly)
-        pinned = _pinned_by_pairs(chart.rows, chart.rhs)
-        if pinned is None:
-            return None
-        if pinned[0]:
-            chart = restrict_chart(chart, *pinned)
-        rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
-        if all(ray[-1] == 0 for ray, _ in rays):
-            return None
-        if len(rays) == 1 and not lines:
-            (*a, q), _ = rays[0]
-            return None if q > 1 else (LatticeChart(chart.to_ambient(a), (), (), ()), [((1,), 0)])
-        implicit = -1
-        for _, mask in rays:
-            implicit &= mask
-        if implicit:
-            idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
-            chart = restrict_chart(chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx])
-        if lines or any(ray[-1] == 0 for ray, _ in rays):
-            raise UnboundedError("the polytope is unbounded; count is infinite")
-        if implicit:
-            rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
+        return _reduce_chart(lattice_chart(poly))
     except InfeasibleLatticeError:
         return None
+
+
+def _reduce_chart(chart: LatticeChart):
+    """(full-dimensional chart of chart's polyhedron, its vertices); None without lattice points.
+
+    Opposite rows of the chart whose bounds meet, as rhombus rows of a flat
+    hive chart do, are imposed as equalities first, with one restrict_chart
+    (_pinned_by_pairs); bounds that cross, or meet off the integers, leave
+    no lattice point.  Then one double description pass over the
+    homogenized chart answers what the count needs: a ray with t > 0 is a
+    vertex (none: the polyhedron is empty), one with t = 0 a recession
+    direction, and a row tight on every ray holds with equality on all of
+    it.  A lone ray (a, q) is the point a / q: a 0-dimensional chart with
+    origin a when q = 1, no lattice point when q > 1.  Otherwise any
+    implicit equalities the pairs missed are imposed with one more
+    restrict_chart, whose lattice may be empty, and a second pass reads the
+    restricted vertices.  Each chart made here has the one before it as
+    parent, so no point is mapped back to ambient coordinates.  The vertices
+    come sorted as (ray, tight) pairs: ray the primitive int vector (q v, q)
+    of the vertex v in the returned chart's coordinates (see vertex_of), bit
+    i of tight set when chart.rows[i] holds with equality at v.
+
+    Raises UnboundedError when the polyhedron is unbounded and has lattice
+    points, InfeasibleLatticeError when a restriction has none.
+    """
+    pinned = _pinned_by_pairs(chart.rows, chart.rhs)
+    if pinned is None:
+        return None
+    if pinned[0]:
+        chart = restrict_chart(chart, *pinned)
+    rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
+    if all(ray[-1] == 0 for ray, _ in rays):
+        return None
+    if len(rays) == 1 and not lines:
+        (*a, q), _ = rays[0]
+        return None if q > 1 else (LatticeChart(tuple(a), (), (), (), chart), [((1,), 0)])
+    implicit = -1
+    for _, mask in rays:
+        implicit &= mask
+    if implicit:
+        idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
+        chart = restrict_chart(chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx])
+    if lines or any(ray[-1] == 0 for ray, _ in rays):
+        raise UnboundedError("the polytope is unbounded; count is infinite")
+    if implicit:
+        rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
     return chart, sorted(rays)
 
 
@@ -221,11 +226,11 @@ def _chart_points(poly: HRepPolytope, cap: int):
     """
     try:
         chart = lattice_chart(poly)
+        if chart.dim > cap and interior_point(chart.rows, chart.rhs, chart.dim)[0] > 0:
+            raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
+        reduced = _reduce_chart(chart)
     except InfeasibleLatticeError:
         return None, ()
-    if chart.dim > cap and interior_point(chart.rows, chart.rhs, chart.dim)[0] > 0:
-        raise CapExceededError(f"free dimension {chart.dim} exceeds cap {cap}")
-    reduced = _reduce(poly)
     if reduced is None:
         return None, ()
     chart, _ = reduced
@@ -247,39 +252,22 @@ def count_naive(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP) -> CountResu
 
 
 def _short_vector(adj, target):
-    """Nonzero lattice vector of the adjugate-column lattice, sup-norm < target.
+    """Nonzero vector of the lattice L of adj's columns with sup-norm below target = |D| >= 2.
 
-    LLL usually hands one over directly; if not, widen over small integer
-    combinations of the reduced basis.  Existence below the determinant bound
-    is guaranteed, so the widening terminates in practice at tiny radii.
+    LLL usually hands one over directly.  Otherwise some column does, once
+    reduced: adj is D times the inverse of the ray matrix, so L holds
+    |D| Z^d, and its index |D|^(d-1) is below that of |D| Z^d, so some
+    column is nonzero mod |D|.  Reduced entrywise into (-|D|/2, |D|/2] it
+    stays in L and nonzero, with sup-norm at most |D| / 2.
     """
     d = len(adj)
     cols = [[adj[i][j] for i in range(d)] for j in range(d)]
-    basis = lll_reduce(cols)
-    best = None
-    for v in basis:
-        vec = tuple(v)
-        key = (max(abs(c) for c in vec), vec)
-        if best is None or key < best:
-            best = key
-    if best[0] >= target:
-        for radius in (1, 2, 3, 4):
-            for combo in product(range(-radius, radius + 1), repeat=d):
-                if not any(combo):
-                    continue
-                vec = tuple(
-                    sum(cc * bv[i] for cc, bv in zip(combo, basis)) for i in range(d)
-                )
-                if not any(vec):
-                    continue
-                key = (max(abs(c) for c in vec), vec)
-                if key < best:
-                    best = key
-            if best[0] < target:
-                break
-        else:
-            raise InvariantError("short-vector search stalled below the determinant")
-    return best[1]
+    norm, vec = min((max(map(abs, v)), tuple(v)) for v in lll_reduce(cols))
+    if norm < target:
+        return vec
+    half = target // 2
+    col = next(c for c in cols if any(v % target for v in c))
+    return tuple(r - target if r > half else r for r in (v % target for v in col))
 
 
 def _barvinok_recurse(sign, rays, adj, D, y, apex, out):

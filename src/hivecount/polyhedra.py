@@ -12,7 +12,7 @@ from itertools import islice
 from math import lcm
 
 from .errors import InfeasibleLatticeError, InvariantError
-from .linalg import add_row_column, dot, echelon_pivots, hermite_solve, identity, primitive, vec_gcd
+from .linalg import add_row_column, dot, echelon_pivots, hermite_solve, primitive, vec_gcd
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -236,24 +236,28 @@ class HRepPolytope:
 class LatticeChart:
     """Bijective affine chart t -> origin + basis t from Z^k onto Z^n cap {eqs}.
 
-    rows/rhs carry the inequality system rewritten in chart coordinates, with
-    constant rows already removed.
+    origin and basis are in the coordinates of parent, the chart this one was
+    cut from, or ambient when parent is None; only to_ambient follows the
+    chain.  rows/rhs carry the inequality system rewritten in chart
+    coordinates, with constant rows already removed.
     """
 
     origin: tuple
     basis: tuple
     rows: tuple
     rhs: tuple
+    parent: LatticeChart | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def to_ambient(self, t):
-        return tuple(
+        x = tuple(
             o + sum(bv[i] * tv for bv, tv in zip(self.basis, t))
             for i, o in enumerate(self.origin)
         )
+        return x if self.parent is None else self.parent.to_ambient(x)
 
 
 def _rewrite_rows(rows, rhs, origin, basis):
@@ -290,9 +294,11 @@ def lattice_chart(poly: HRepPolytope) -> LatticeChart:
     """Solve away the equalities of poly over the integers.
 
     A row with one nonzero entry c (each row fixing a hive's boundary is one)
-    fixes its coordinate to b / c by substitution.  Only the other rows go to
-    hermite_solve, over the free columns, which keep the order its column
-    swaps would give them: one-entry rows get hermite_solve's chart exactly.
+    fixes its coordinate to b / c by substitution, which gives a chart over
+    the free coordinates, in the order hermite_solve's column swaps would
+    give them: one-entry rows get hermite_solve's chart exactly.  The other
+    rows, rewritten over the free coordinates, are imposed on that chart
+    with restrict_chart, whose chart comes back with it as parent.
 
     Raises InfeasibleLatticeError when the equality system has no integral
     solution or an inequality reduces to an impossible constant.
@@ -312,31 +318,26 @@ def lattice_chart(poly: HRepPolytope) -> LatticeChart:
             x0[j], order[p], order[fixed] = value, order[fixed], j
             fixed += 1
     free = order[fixed:]
-    t0, kernel = [0] * len(free), identity(len(free))
-    if general:
-        sub = [[a[j] for j in free] for a, _ in general]
-        t0, kernel = hermite_solve(sub, [b - dot(a, x0) for a, b in general])
     rows = [[a[j] for j in free] for a in poly.rows]
     rhs = [b - dot(a, x0) for a, b in zip(poly.rows, poly.rhs)]
-    rows, rhs = dedupe_rows(*_rewrite_rows(rows, rhs, t0, kernel if general else None))
-    for j, t in zip(free, t0):
-        x0[j] = t
-    cols, zero = dict(zip(free, zip(*kernel))), (0,) * len(kernel)
-    basis = tuple(zip(*[cols.get(i, zero) for i in range(len(x0))]))
-    return LatticeChart(tuple(x0), basis, tuple(rows), tuple(rhs))
+    rows, rhs = dedupe_rows(*_rewrite_rows(rows, rhs, [0] * len(free), None))
+    basis = tuple(tuple(int(i == j) for i in range(len(x0))) for j in free)
+    chart = LatticeChart(tuple(x0), basis, tuple(rows), tuple(rhs))
+    if not general:
+        return chart
+    sub = [[a[j] for j in free] for a, _ in general]
+    return restrict_chart(chart, sub, [b - dot(a, x0) for a, b in general])
 
 
 def restrict_chart(chart: LatticeChart, eq_rows, eq_rhs) -> LatticeChart:
-    """Impose further integral equalities (in chart coordinates) on a chart."""
+    """Impose further integral equalities (in chart coordinates) on a chart.
+
+    The returned chart has chart as its parent: its origin and basis are
+    hermite_solve's solution and kernel, in chart's coordinates.
+    """
     t0, kernel = hermite_solve([list(r) for r in eq_rows], list(eq_rhs))
-    origin = chart.to_ambient(t0)
-    basis = tuple(
-        tuple(sum(bv[i] * kv for bv, kv in zip(chart.basis, k)) for i in range(len(chart.origin)))
-        for k in kernel
-    )
-    rows, rhs = _rewrite_rows(chart.rows, chart.rhs, t0, kernel)
-    rows, rhs = dedupe_rows(rows, rhs)
-    return LatticeChart(origin, basis, tuple(rows), tuple(rhs))
+    rows, rhs = dedupe_rows(*_rewrite_rows(chart.rows, chart.rhs, t0, kernel))
+    return LatticeChart(tuple(t0), tuple(map(tuple, kernel)), tuple(rows), tuple(rhs), chart)
 
 
 def incidence_bitsets(masks, nrows):

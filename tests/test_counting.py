@@ -254,6 +254,11 @@ def test_decompose_cone_is_exact_on_pointed_cones(cone):
     """The signed half-open indicator sum is membership in cone at every point of a box."""
     leaves = decompose_cone(cone)
     assert decompose_cone(cone, seed=7) == leaves
+    _assert_exact_indicator(cone, leaves)
+
+
+def _assert_exact_indicator(cone, leaves):
+    """Each leaf's inverse inverts its rays, and the signed sum is membership in cone on a box."""
     d = len(cone.apex)
     for leaf in leaves:
         assert [[dot(row, u) for u in leaf.rays] for row in leaf.inverse] == [
@@ -907,3 +912,211 @@ def test_reduce_matches_lp_oracle(poly):
         v = vertex_of(ray)
         rows = zip(chart.rows, chart.rhs)
         assert mask == sum(1 << k for k, (a, b) in enumerate(rows) if dot(a, v) == b)
+
+
+def _no_short_basis(cols):
+    """A stand-in for lll_reduce on the adjugate columns cols: |D| e_1, ..., |D| e_d.
+
+    Those vectors lie in the columns' lattice, which holds |D| Z^d, but none
+    is shorter than |D|, so _short_vector must take its fallback.  |D| is
+    read off |det(cols)| = |D|^(d-1).
+    """
+    d = len(cols)
+    power = abs(det(cols))
+    size = next(k for k in itertools.count(2) if k ** (d - 1) >= power)
+    return [[size * int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _fallback_short_vectors(mp):
+    """Send every _short_vector through its fallback, and check each vector it returns."""
+    import hivecount.counting as counting
+
+    real = counting._short_vector
+    returned = []
+
+    def checked(adj, target):
+        b = real(adj, target)
+        assert any(b) and max(map(abs, b)) < target
+        returned.append(b)
+        return b
+
+    mp.setattr(counting, "lll_reduce", _no_short_basis)
+    mp.setattr(counting, "_short_vector", checked)
+    return returned
+
+
+@with_cone_examples
+@settings(max_examples=60, deadline=None)
+def test_short_vector_fallback_counts_exactly(poly):
+    """With no short vector from LLL, every count still matches the naive one."""
+    expected = count_naive(poly).value
+    with pytest.MonkeyPatch.context() as mp:
+        _fallback_short_vectors(mp)
+        assert count_barvinok(poly).value == expected
+
+
+@given(pointed_cones())
+@example(VertexCone((0, 0), ((1, 0), (1, 2))))
+@example(VertexCone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 2))))
+@example(VertexCone((0, 0, 0), ((1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2))))
+@settings(max_examples=60, deadline=None)
+def test_short_vector_fallback_decomposes_exactly(cone):
+    """With no short vector from LLL, decompose_cone stays exact on pointed cones."""
+    with pytest.MonkeyPatch.context() as mp:
+        _fallback_short_vectors(mp)
+        leaves = decompose_cone(cone)
+    _assert_exact_indicator(cone, leaves)
+
+
+def test_short_vector_fallback_is_reached():
+    """The index-2 cone((1, 0), (1, 2)) takes one short vector, a reduced adjugate column.
+
+    Its adjugate has columns (2, 0), which is 0 mod 2, and (-1, 1), which
+    reduces to (1, 1).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        returned = _fallback_short_vectors(mp)
+        decompose_cone(VertexCone((0, 0), ((1, 0), (1, 2))))
+    assert returned == [(1, 1)]
+
+
+def test_count_naive_builds_one_chart(monkeypatch):
+    import hivecount.counting as counting
+
+    real, calls = counting.lattice_chart, []
+
+    def chart(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(counting, "lattice_chart", chart)
+    triple = make_triple((3, 2, 1), (2, 1), (4, 3, 1, 1))
+    want = lr_tableau_count(triple.lam, triple.mu, triple.nu)
+    assert count_naive(hive_hrep(triple)).value == want
+    assert len(calls) == 1
+
+
+def _chart_depth(chart):
+    depth = 0
+    while chart.parent is not None:
+        chart, depth = chart.parent, depth + 1
+    return depth
+
+
+def _composed_map(chart):
+    """(origin, basis) of chart in ambient coordinates, each level's basis multiplied out."""
+    origin, basis = chart.origin, chart.basis
+    while chart.parent is not None:
+        chart = chart.parent
+        # column i: coordinate i of each of the parent's basis vectors
+        columns = [tuple(k[i] for k in chart.basis) for i in range(len(chart.origin))]
+        origin = tuple(o + dot(col, origin) for o, col in zip(chart.origin, columns))
+        basis = tuple(tuple(dot(col, k) for col in columns) for k in basis)
+    return origin, basis
+
+
+@st.composite
+def chained_systems(draw):
+    """(poly, box): a box around a point p, cut through p in ways that each add a chart level.
+
+    In dimension 2-5 the box [p - lo, p + hi] has sides of 0-2 units.  Up to
+    one equality row with one nonzero entry (substituted) and up to one
+    general equality row (a restrict_chart in lattice_chart) go through p,
+    as do up to one opposite row pair, each row scaled by 1-2 (pinned before
+    the double description pass) and up to one implied equality: rows
+    a t <= a p, c t <= c p and -(a + c) t <= -(a + c) p hold with equality
+    everywhere, though no two of them are opposite (a restrict_chart after
+    the pass).  The pair may miss p by 1/2 on both sides, which leaves no
+    lattice point.
+    """
+    dim = draw(st.integers(2, 5))
+    p = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+    entries = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    box = [(v - draw(st.integers(0, 2)), v + draw(st.integers(0, 2))) for v in p]
+    base = box_poly(box)
+    rows, rhs, eq_rows, eq_rhs = list(base.rows), list(base.rhs), [], []
+    for j, c in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from((1, -1, 2))),
+                              max_size=1)):
+        eq_rows.append(tuple(c * int(i == j) for i in range(dim)))
+        eq_rhs.append(c * p[j])
+    for a in draw(st.lists(entries.filter(lambda a: sum(map(bool, a)) > 1), max_size=1)):
+        eq_rows.append(tuple(a))
+        eq_rhs.append(dot(a, p))
+    for a in draw(st.lists(entries, max_size=1)):
+        s = draw(st.sampled_from((0, 0, 0, Fraction(1, 2))))
+        c, c_opp = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        rows += [tuple(c * v for v in a), tuple(-c_opp * v for v in a)]
+        rhs += [c * (dot(a, p) + s), -c_opp * (dot(a, p) + s)]
+    for a, c in draw(st.lists(st.tuples(entries, entries), max_size=1)):
+        for row in (a, c, [-u - v for u, v in zip(a, c)]):
+            rows.append(tuple(row))
+            rhs.append(dot(row, p))
+    return HRepPolytope(rows, rhs, eq_rows, eq_rhs), box
+
+
+# a 6-box around (1, ..., 1) with x5 = 1, x0 + x1 + x2 = 3, the pair x0 = x1
+# and the implied x2 = x3 = 1: the segment 0 <= x4 <= 2, three charts deep
+THREE_LEVELS = (
+    HRepPolytope(
+        rows=box_poly([(0, 2)] * 6).rows + ((1, -1, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0),
+                                            (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                            (0, 0, -1, -1, 0, 0)),
+        rhs=box_poly([(0, 2)] * 6).rhs + (0, 0, 1, 1, -2),
+        eq_rows=((0, 0, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)),
+        eq_rhs=(1, 3),
+    ),
+    [(0, 2)] * 6,
+)
+
+
+@given(chained_systems())
+@example(THREE_LEVELS)
+@settings(max_examples=200, deadline=None)
+def test_chart_chains_reach_every_lattice_point(system):
+    """Charts that point to their parents map back the brute-force points, as the composed map does."""
+    poly, box = system
+    want = {
+        x
+        for x in itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+        if all(dot(a, x) == b for a, b in zip(poly.eq_rows, poly.eq_rhs))
+        and all(dot(a, x) <= b for a, b in zip(poly.rows, poly.rhs))
+    }
+    assert set(iter_lattice_points(poly)) == want
+    reduced = _reduce(poly)
+    assert (reduced is None) == (not want)
+    if reduced is None:
+        return
+    chart, _ = reduced
+    origin, basis = _composed_map(chart)
+    units = [tuple(int(i == j) for i in range(chart.dim)) for j in range(chart.dim)]
+    points = _iter_chart_points(list(chart.rows), list(chart.rhs), chart.dim)
+    for t in [(0,) * chart.dim, *units, *points]:
+        assert chart.to_ambient(t) == tuple(
+            o + sum(k[i] * v for k, v in zip(basis, t)) for i, o in enumerate(origin)
+        )
+
+
+def test_three_level_chain():
+    poly, _ = THREE_LEVELS
+    assert _chart_depth(lattice_chart(poly)) == 1
+    chart, vertices = _reduce(poly)
+    assert chart.dim == 1 and len(vertices) == 2
+    assert _chart_depth(chart) == 3
+    assert sorted(iter_lattice_points(poly)) == [(1, 1, 1, 1, x, 1) for x in range(3)]
+
+
+def test_count_path_maps_no_point_back(monkeypatch):
+    """Counting needs no ambient coordinates: no chart on the count path calls to_ambient."""
+    from hivecount.polyhedra import LatticeChart
+
+    def to_ambient(self, t):
+        raise AssertionError("to_ambient on the count path")
+
+    monkeypatch.setattr(LatticeChart, "to_ambient", to_ambient)
+    assert count_barvinok(THREE_LEVELS[0]).value == 3
+    for lam, mu, nu, want in [
+        ((3, 3, 2), (2, 1), (3, 3, 3, 2), 1),  # one point, pinned by pairs
+        ((3, 2, 2), (4, 3, 1), (6, 4, 3, 2), 3),  # a flat chart
+        ((2, 1), (2, 1), (3, 2, 1), 2),
+    ]:
+        assert lr_coefficient(make_triple(lam, mu, nu)) == want

@@ -361,6 +361,9 @@ def test_restrict_chart_drops_dimension():
     # impose x = 2 (in chart coordinates) as a new equality
     sub = restrict_chart(chart, [(1, 0)], [2])
     assert sub.dim == 1
+    # the restriction points to its parent, in whose coordinates its map is
+    assert sub.parent is chart and [len(k) for k in sub.basis] == [chart.dim]
+    assert {sub.to_ambient((v,)) for v in range(-1, 2)} == {(2, v) for v in range(-1, 2)}
 
 
 def _chart_or_error(chart_fn, poly):
