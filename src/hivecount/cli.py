@@ -235,14 +235,17 @@ def cmd_export(args):
     return 0
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_weight_flags(p, nu=True):
@@ -265,7 +268,7 @@ def build_parser():
     p.add_argument("--method", choices=("naive", "barvinok", "both"), default="barvinok")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p.add_argument("--naive-cap", type=int, default=counting.NAIVE_DIMENSION_CAP)
+    p.add_argument("--naive-cap", type=_int_at_least(0), default=counting.NAIVE_DIMENSION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
 
@@ -278,20 +281,20 @@ def build_parser():
     p = sub.add_parser("kostka", help="Kostka number by tableaux or via a hive count")
     _add_weight_flags(p, nu=False)
     p.add_argument("--via", choices=(klimyk.DIRECT, klimyk.HIVE), default=klimyk.DIRECT)
-    p.add_argument("--cap", type=int, default=klimyk.SIZE_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=klimyk.SIZE_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("klimyk", help="full tensor decomposition by Klimyk's formula")
     _add_weight_flags(p, nu=False)
-    p.add_argument("--cap", type=int, default=klimyk.SIZE_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=klimyk.SIZE_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_klimyk)
 
     p = sub.add_parser("stretch", help="fit the stretched-multiplicity polynomial")
     _add_weight_flags(p)
     p.add_argument(
-        "--n-max", type=_positive_int, default=None, help="largest dilation sampled"
+        "--n-max", type=_int_at_least(1), default=None, help="largest dilation sampled"
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
@@ -299,7 +302,7 @@ def build_parser():
     p.set_defaults(func=cmd_stretch)
 
     p = sub.add_parser("triangulate", help="placing triangulation of the hive matrix")
-    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_int_at_least(1), required=True)
     p.add_argument("--order", choices=("default", "natural", "random"), default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="triangulation file path")

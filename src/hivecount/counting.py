@@ -155,47 +155,46 @@ def _reduce(poly: HRepPolytope):
 def _reduce_chart(chart: LatticeChart):
     """(full-dimensional chart of chart's polyhedron, its vertices); None without lattice points.
 
-    Opposite rows of the chart whose bounds meet, as rhombus rows of a flat
-    hive chart do, are imposed as equalities first, with one restrict_chart
-    (_pinned_by_pairs); bounds that cross, or meet off the integers, leave
-    no lattice point.  Then one double description pass over the
-    homogenized chart answers what the count needs: a ray with t > 0 is a
-    vertex (none: the polyhedron is empty), one with t = 0 a recession
-    direction, and a row tight on every ray holds with equality on all of
-    it.  A lone ray (a, q) is the point a / q: a 0-dimensional chart with
-    origin a when q = 1, no lattice point when q > 1.  Otherwise any
-    implicit equalities the pairs missed are imposed with one more
-    restrict_chart, whose lattice may be empty, and a second pass reads the
-    restricted vertices.  Each chart made here has the one before it as
-    parent, so no point is mapped back to ambient coordinates.  The vertices
-    come sorted as (ray, tight) pairs: ray the primitive int vector (q v, q)
-    of the vertex v in the returned chart's coordinates (see vertex_of), bit
-    i of tight set when chart.rows[i] holds with equality at v.
+    One loop imposes the equalities it sees with restrict_chart and looks
+    again, until none is left.  Opposite rows whose bounds meet, as rhombus
+    rows of a flat hive chart do, come first (_pinned_by_pairs); bounds that
+    cross, or meet off the integers, leave no lattice point.  Without them,
+    one double description pass over the homogenized chart answers what the
+    count needs: a ray with t > 0 is a vertex (none: the polyhedron is
+    empty), one with t = 0 a recession direction, and rows tight on every
+    ray are implicit equalities, imposed next; with none, the pass has read
+    the vertices.  A lone ray (a, q) is the point a / q: a 0-dimensional
+    chart with origin a when q = 1, no lattice point when q > 1.  Chart rows
+    are nonzero, so each restriction drops the dimension and the loop ends.
+    Each chart has the one before it as parent: no point is mapped back.
+    The vertices come sorted as (ray, tight) pairs: ray the primitive int
+    vector (q v, q) of the vertex v in the returned chart's coordinates (see
+    vertex_of), bit i of tight set when chart.rows[i] is tight at v.
 
     Raises UnboundedError when the polyhedron is unbounded and has lattice
     points, InfeasibleLatticeError when a restriction has none.
     """
-    pinned = _pinned_by_pairs(chart.rows, chart.rhs)
-    if pinned is None:
-        return None
-    if pinned[0]:
-        chart = restrict_chart(chart, *pinned)
-    rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
-    if all(ray[-1] == 0 for ray, _ in rays):
-        return None
-    if len(rays) == 1 and not lines:
-        (*a, q), _ = rays[0]
-        return None if q > 1 else (LatticeChart(tuple(a), (), (), (), chart), [((1,), 0)])
-    implicit = -1
-    for _, mask in rays:
-        implicit &= mask
-    if implicit:
-        idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
-        chart = restrict_chart(chart, [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx])
+    while True:
+        eqs = _pinned_by_pairs(chart.rows, chart.rhs)
+        if eqs is None:
+            return None
+        if not eqs[0]:
+            rays, lines = _chart_rays(chart.rows, chart.rhs, chart.dim)
+            if all(ray[-1] == 0 for ray, _ in rays):
+                return None
+            if len(rays) == 1 and not lines:
+                (*a, q), _ = rays[0]
+                return None if q > 1 else (LatticeChart(tuple(a), (), (), (), chart), [((1,), 0)])
+            implicit = -1
+            for _, mask in rays:
+                implicit &= mask
+            if not implicit:
+                break
+            idx = [k for k in range(len(chart.rows)) if implicit >> k & 1]
+            eqs = [chart.rows[k] for k in idx], [chart.rhs[k] for k in idx]
+        chart = restrict_chart(chart, *eqs)
     if lines or any(ray[-1] == 0 for ray, _ in rays):
         raise UnboundedError("the polytope is unbounded; count is infinite")
-    if implicit:
-        rays = homogenized_rays(chart.rows, chart.rhs, chart.dim)
     return chart, sorted(rays)
 
 
@@ -560,7 +559,7 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         rows = [k for k in range(len(gens)) if (mask & facets) >> k & 1]
         edges = _edge_directions(vertices, i, rows, on) if len(rows) == d else None
         vertex_leaves.append((ray, _vertex_leaves(ray, [gens[k] for k in rows], edges)))
-    ray_set = sorted({u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays})
+    ray_set = {u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays}
     direction = _specialization_direction(ray_set, d, seed)
     e_of = {u: dot(direction, u) for u in ray_set}
     emax = max(map(abs, e_of.values()))

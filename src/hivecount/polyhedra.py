@@ -261,31 +261,29 @@ class LatticeChart:
 
 
 def _rewrite_rows(rows, rhs, origin, basis):
-    """Push a x <= b through x = origin + basis t (None: identity); drops satisfied constant rows."""
-    out_rows, out_rhs = [], []
-    for a, b in zip(rows, rhs):
-        new_row = tuple(a) if basis is None else tuple([dot(a, bv) for bv in basis])
-        new_rhs = b - dot(a, origin)
-        if any(new_row):
-            out_rows.append(new_row)
-            out_rhs.append(new_rhs)
-        elif new_rhs < 0:
-            raise InfeasibleLatticeError(
-                f"inequality reduces to 0 <= {new_rhs} on the equality locus"
-            )
-    return out_rows, out_rhs
+    """Push a x <= b through x = origin + basis t: rows over t, for dedupe_rows to normalize."""
+    out_rows = [tuple([dot(a, bv) for bv in basis]) for a in rows]
+    return out_rows, [b - dot(a, origin) for a, b in zip(rows, rhs)]
 
 
 def dedupe_rows(rows, rhs):
-    """Keep only the tightest representative of each parallel inequality class."""
+    """Keep the tightest row of each parallel class; the one place zero rows are decided.
+
+    A zero row 0 <= b is dropped when b >= 0 and raises InfeasibleLatticeError otherwise.
+    """
     best = {}
     for a, b in zip(rows, rhs):
-        key = primitive(a)
-        g = vec_gcd(a)
+        row = tuple(a)
+        g = vec_gcd(row)
+        if g == 0:
+            if b >= 0:
+                continue
+            raise InfeasibleLatticeError(f"inequality reduces to 0 <= {b} on the equality locus")
+        key = row if g == 1 else tuple([v // g for v in row])
         cur = best.get(key)
         # b / g < cur_b / cur_g, with both gcds positive
         if cur is None or b * cur[2] < cur[1] * g:
-            best[key] = (tuple(a), b, g)
+            best[key] = (row, b, g)
     kept = list(best.values())
     return [a for a, _, _ in kept], [b for _, b, _ in kept]
 
@@ -296,9 +294,10 @@ def lattice_chart(poly: HRepPolytope) -> LatticeChart:
     A row with one nonzero entry c (each row fixing a hive's boundary is one)
     fixes its coordinate to b / c by substitution, which gives a chart over
     the free coordinates, in the order hermite_solve's column swaps would
-    give them: one-entry rows get hermite_solve's chart exactly.  The other
-    rows, rewritten over the free coordinates, are imposed on that chart
-    with restrict_chart, whose chart comes back with it as parent.
+    give them: one-entry rows get hermite_solve's chart exactly, and its
+    inequality rows go straight to dedupe_rows.  The other equality rows,
+    rewritten over the free coordinates, are imposed on that chart with
+    restrict_chart, whose chart comes back with it as parent.
 
     Raises InfeasibleLatticeError when the equality system has no integral
     solution or an inequality reduces to an impossible constant.
@@ -318,9 +317,8 @@ def lattice_chart(poly: HRepPolytope) -> LatticeChart:
             x0[j], order[p], order[fixed] = value, order[fixed], j
             fixed += 1
     free = order[fixed:]
-    rows = [[a[j] for j in free] for a in poly.rows]
     rhs = [b - dot(a, x0) for a, b in zip(poly.rows, poly.rhs)]
-    rows, rhs = dedupe_rows(*_rewrite_rows(rows, rhs, [0] * len(free), None))
+    rows, rhs = dedupe_rows([[a[j] for j in free] for a in poly.rows], rhs)
     basis = tuple(tuple(int(i == j) for i in range(len(x0))) for j in free)
     chart = LatticeChart(tuple(x0), basis, tuple(rows), tuple(rhs))
     if not general:

@@ -262,6 +262,24 @@ def test_triangulate_rank_below_one_exits_two(tmp_path, capsys, rank):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["count", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1", "--naive-cap", "-1"],
+         "--naive-cap"),
+        (["klimyk", "--lambda", "0", "--mu", "0", "--cap", "-1"], "--cap"),
+        (["kostka", "--lambda", "2,1", "--mu", "2,1", "--cap", "-1"], "--cap"),
+    ],
+)
+def test_negative_cap_exits_two(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be at least 0, got -1" in err
+    assert "Traceback" not in err
+
+
 @st.composite
 def command_lines(draw, out_dir):
     """argv for one subcommand: weights of at most 3 parts up to 3, small caps and ranks."""

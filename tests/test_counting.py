@@ -1,13 +1,17 @@
 import itertools
+import random
 import sys
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from _corpus import SMALL_WEIGHT_ROWS
 from _lll_oracle import det, rank
 from _reduce_oracle import lp_reduce_bounded
+from _samplers import random_tensor_triples, random_triple_corpus
 from _series_oracle import (
     _series_mul,
     leaf_series_unpacked,
@@ -40,6 +44,7 @@ from hivecount.counting import (
     _iter_chart_points,
     _leaf_series,
     _pairwise_total,
+    _pinned_by_pairs,
     _reduce,
     _series_quotient,
 )
@@ -411,32 +416,59 @@ def test_count_path_runs_one_dd_pass(monkeypatch):
     assert len(calls) == 1
 
 
-def test_single_point_takes_one_dd_pass(monkeypatch):
-    """A hive polytope that is one lattice point is read off the first pass.
-
-    Its chart has dimension 3, and opposite row pairs pin all three
-    coordinates, so the one restrict_chart of those pairs runs before the
-    pass; no restriction and no second double description pass follow it.
-    """
+def _reduction_calls(monkeypatch):
+    """The list that each restrict_chart and homogenized_rays call of the count appends to."""
     import hivecount.counting as counting
 
-    real_restrict, real_rays = counting.restrict_chart, counting.homogenized_rays
     calls = []
 
-    def restrict(*args):
-        calls.append("restrict_chart")
-        return real_restrict(*args)
+    def spy(name):
+        real = getattr(counting, name)
 
-    def rays(*args):
-        calls.append("homogenized_rays")
-        return real_rays(*args)
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(counting, "restrict_chart", restrict)
-    monkeypatch.setattr(counting, "homogenized_rays", rays)
+        return counted
+
+    for name in ("restrict_chart", "homogenized_rays"):
+        monkeypatch.setattr(counting, name, spy(name))
+    return calls
+
+
+def test_single_point_takes_one_dd_pass(monkeypatch):
+    """A hive polytope that is one lattice point is read off the one pass.
+
+    Its chart has dimension 3.  Imposing its meeting opposite pairs leaves a
+    chart of dimension 1 with a new meeting pair, which a second
+    restrict_chart imposes; the one double description pass then runs in
+    dimension 0, and nothing follows it.
+    """
+    calls = _reduction_calls(monkeypatch)
     triple = make_triple((3, 3, 2), (2, 1), (3, 3, 3, 2))
     assert lattice_chart(hive_hrep(triple)).dim == 3
     assert lr_coefficient(triple) == lr_tableau_count(triple.lam, triple.mu, triple.nu) == 1
-    assert calls == ["restrict_chart", "homogenized_rays"]
+    assert calls == ["restrict_chart", "restrict_chart", "homogenized_rays"]
+
+
+@pytest.mark.parametrize(
+    "triple, value",
+    [
+        (((4, 4, 3, 2), (3, 3, 2, 1), (7, 5, 4, 4, 2)), 3),
+        (((5, 4, 3, 1), (5, 4, 2, 1, 1), (9, 5, 5, 4, 3)), 4),
+    ],
+)
+def test_pairs_made_by_a_restriction_take_no_second_pass(monkeypatch, triple, value):
+    """Pairs that one restriction leaves are imposed by the next, not found by a pass.
+
+    Each of these flat hive charts (dimension 6) needs two restrictions, the
+    second for opposite rows that the first one makes meet; the chart after
+    both is full-dimensional, so one double description pass reads its
+    vertices.
+    """
+    calls = _reduction_calls(monkeypatch)
+    assert lr_coefficient(make_triple(*triple)) == value
+    assert calls == ["restrict_chart", "restrict_chart", "homogenized_rays"]
 
 
 def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
@@ -914,6 +946,37 @@ def test_reduce_matches_lp_oracle(poly):
         assert mask == sum(1 << k for k, (a, b) in enumerate(rows) if dot(a, v) == b)
 
 
+hive_polytopes = st.builds(
+    lambda sample, rank, seed: hive_hrep(sample(random.Random(seed), 1, rank, 3)[0]),
+    st.sampled_from((random_triple_corpus, random_tensor_triples)),
+    st.integers(2, 5),
+    st.integers(0, 2**32),
+)
+
+
+@given(st.one_of(reduce_systems(), hive_polytopes))
+@settings(max_examples=200, deadline=None)
+def test_reduced_chart_is_a_fixed_point(poly):
+    """The chart _reduce returns leaves the loop nothing to impose.
+
+    No opposite rows meet on it, and above dimension 0 no row is tight at
+    every vertex, so it is full-dimensional.
+    """
+    try:
+        reduced = _reduce(poly)
+    except UnboundedError:
+        return
+    if reduced is None:
+        return
+    chart, vertices = reduced
+    assert _pinned_by_pairs(chart.rows, chart.rhs) == ([], [])
+    if chart.dim > 0:
+        implicit = -1
+        for _, mask in vertices:
+            implicit &= mask
+        assert implicit == 0
+
+
 def _no_short_basis(cols):
     """A stand-in for lll_reduce on the adjugate columns cols: |D| e_1, ..., |D| e_d.
 
@@ -978,6 +1041,42 @@ def test_short_vector_fallback_is_reached():
         returned = _fallback_short_vectors(mp)
         decompose_cone(VertexCone((0, 0), ((1, 0), (1, 2))))
     assert returned == [(1, 1)]
+
+
+# a stand-in for the random module whose every draw is 0, so that every
+# seeded candidate of _specialization_direction is the zero vector
+_ZERO_DRAWS = SimpleNamespace(Random=lambda seed: SimpleNamespace(randint=lambda lo, hi: 0))
+
+
+@with_cone_examples
+@settings(max_examples=60, deadline=None)
+def test_fallback_direction_counts_exactly(poly):
+    """With every seeded draw rejected, the direction (1, b, b^2, ...) still counts exactly."""
+    import hivecount.counting as counting
+
+    expected = count_naive(poly).value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "random", _ZERO_DRAWS)
+        assert count_barvinok(poly).value == expected
+
+
+@pytest.mark.parametrize("row", [1, 7], ids=["453", "557744"])
+def test_fallback_direction_counts_paper_rows(monkeypatch, row):
+    import hivecount.counting as counting
+
+    real = counting._specialization_direction
+    directions = []
+
+    def spy(*args):
+        directions.append(real(*args))
+        return directions[-1]
+
+    monkeypatch.setattr(counting, "random", _ZERO_DRAWS)
+    monkeypatch.setattr(counting, "_specialization_direction", spy)
+    triple, value = SMALL_WEIGHT_ROWS[row]
+    assert lr_coefficient(make_triple(*triple)) == value
+    # every ray entry of these charts is at most 2 in size, so b = 5
+    assert directions == [(1, 5, 25, 125, 625, 3125)]
 
 
 def test_count_naive_builds_one_chart(monkeypatch):

@@ -175,6 +175,10 @@ def test_dedupe_rows():
     assert len(drows) == len(drhs) == 2
     kept = dict(zip(drows, drhs))
     assert kept[(1, 0)] == 0
+    # a zero row 0 <= b holds everywhere for b >= 0 and nowhere for b < 0
+    assert dedupe_rows([[0, 0], (1, 0), (0, 0)], [0, 1, Fraction(1, 2)]) == ([(1, 0)], [1])
+    with pytest.raises(InfeasibleLatticeError, match="reduces to 0 <= -1/2"):
+        dedupe_rows([(1, 0), (0, 0)], [1, Fraction(-1, 2)])
 
 
 @given(st.integers(2, 3), st.integers(1, 4))
