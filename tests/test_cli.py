@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -398,3 +399,103 @@ def test_unknown_subcommand_raises_system_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Every subcommand's stdout, stderr and exit code, in text and --json, and every
+# --help, recorded in _cli_golden.json.  "{tmp}" stands for the case's scratch
+# directory and timings.total_s is masked.  After an intended change of output,
+# record the file again with
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).with_name("_cli_golden.json")
+BATCH = "# corpus\n2,1 2,1 3,2,1\n4,0 1,1 3,3\n1,0 1,0 1,1\n"
+T21 = ["--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1"]
+SUBCOMMANDS = ["count", "nonzero", "kostka", "klimyk", "stretch", "triangulate", "export"]
+CLI_CASES = {
+    "count": ["count", *T21],
+    "count-json": ["count", *T21, "--json"],
+    "count-naive-json": ["count", *T21, "--method", "naive", "--json"],
+    "count-batch": ["count", "--input-file", "{tmp}/batch.txt"],
+    "count-batch-json": ["count", "--input-file", "{tmp}/batch.txt", "--json"],
+    "nonzero": ["nonzero", "--lambda", "4,0", "--mu", "1,1", "--nu", "3,3"],
+    "nonzero-json": ["nonzero", *T21, "--json"],
+    "nonzero-batch": ["nonzero", "--input-file", "{tmp}/batch.txt"],
+    "nonzero-batch-json": ["nonzero", "--input-file", "{tmp}/batch.txt", "--json"],
+    "kostka": ["kostka", "--lambda", "2,1", "--mu", "1,1,1"],
+    "kostka-json": ["kostka", "--lambda", "3,1", "--mu", "1,2,1", "--json"],
+    "kostka-hive-json": ["kostka", "--lambda", "3,1", "--mu", "1,2,1", "--via", "hive",
+                         "--json"],
+    "klimyk": ["klimyk", "--lambda", "2,1", "--mu", "1,1"],
+    "klimyk-json": ["klimyk", "--lambda", "2,1", "--mu", "1,1", "--json"],
+    "stretch": ["stretch", *T21, "--n-max", "6"],
+    "stretch-json": ["stretch", "--lambda", "1,0", "--mu", "1,0", "--nu", "1,1", "--json"],
+    "triangulate": ["triangulate", "--rank", "3", "--out", "{tmp}/r3.txt"],
+    "triangulate-default-out": ["triangulate", "--rank", "2"],
+    "triangulate-witness": ["triangulate", "--rank", "4", "--order", "natural",
+                            "--out", "{tmp}/r4.txt"],
+    "triangulate-witness-json": ["triangulate", "--rank", "4", "--order", "natural",
+                                 "--out", "{tmp}/r4.txt", "--json"],
+    "triangulate-random-json": ["triangulate", "--rank", "3", "--order", "random",
+                                "--seed", "2", "--out", "{tmp}/r3.txt", "--json"],
+    "export": ["export", *T21],
+    "export-json-stdout": ["export", *T21, "--json"],
+    "export-out": ["export", *T21, "--out", "{tmp}/h.poly"],
+    "export-out-json": ["export", *T21, "--out", "{tmp}/h.poly", "--json"],
+    "export-homogenized-json": ["export", "--lambda", "1,0", "--mu", "1,0", "--nu", "1,1",
+                                "--homogenized", "--out", "{tmp}/g.poly", "--json"],
+    "error-bad-weight": ["count", "--lambda", "1,2", "--mu", "1,0", "--nu", "2,2"],
+    "error-missing-weight": ["count", "--lambda", "2,1"],
+    "error-missing-weight-json": ["nonzero", "--lambda", "2,1", "--json"],
+    "error-missing-file": ["count", "--input-file", "{tmp}/none.txt"],
+    "error-batch-line": ["nonzero", "--input-file", "{tmp}/bad.txt", "--json"],
+    "error-kostka-missing": ["kostka", "--lambda", "2,1"],
+    "error-klimyk-missing": ["klimyk", "--mu", "2,1", "--json"],
+    "error-fit": ["stretch", *T21, "--n-max", "2"],
+    "error-fit-json": ["stretch", *T21, "--n-max", "2", "--json"],
+    "error-naive-cap": ["count", *T21, "--method", "naive", "--naive-cap", "0"],
+    "error-kostka-cap": ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cap", "2"],
+    "error-klimyk-cap": ["klimyk", "--lambda", "2,1", "--mu", "1,1", "--cap", "2", "--json"],
+    "error-argparse": ["count", *T21, "--method", "exact"],
+    "help": ["--help"],
+    **{f"help-{cmd}": [cmd, "--help"] for cmd in SUBCOMMANDS},
+}
+
+
+def run_case(argv, tmp):
+    """Run one command line in tmp: {"code", "out", "err"}, with tmp written as {tmp}."""
+    (tmp / "batch.txt").write_text(BATCH)
+    (tmp / "bad.txt").write_text("2,1 2,1\n")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+            except SystemExit as exc:  # --help and argparse errors
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+
+    def mask(text):
+        text = re.sub(r'"total_s": [-+.e0-9]+', '"total_s": "<masked>"', text)
+        return text.replace(str(tmp), "{tmp}")
+
+    return {"code": code, "out": mask(out.getvalue()), "err": mask(err.getvalue())}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_is_pinned(tmp_path, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_case(CLI_CASES[case], tmp_path) == golden[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    record = {}
+    for name, argv in sorted(CLI_CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            record[name] = run_case(argv, Path(tmp))
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
