@@ -54,105 +54,86 @@ def _triples_from_file(path):
         parts = text.split()
         if len(parts) != 3:
             raise WeightError(f"{path}:{lineno}: expected three weights, found {len(parts)}")
-        triples.append(
-            make_triple(parse_weight(parts[0]), parse_weight(parts[1]), parse_weight(parts[2]))
-        )
+        triples.append(make_triple(*map(parse_weight, parts)))
     if not triples:
         raise WeightError(f"{path}: no triples found")
     return triples
 
 
-def _gather_triples(args):
-    if args.input_file:
-        return _triples_from_file(args.input_file)
-    return [_triple_from_args(args)]
+def _emit(args, command, method, rank, started, payload, lines):
+    """Print the --json envelope around payload, or else the plain lines; exit code 0."""
+    if args.json:
+        out = {
+            "command": command,
+            "method": method,
+            "rank": rank,
+            "timings": {"total_s": round(time.perf_counter() - started, 6)},
+        }
+        out.update(payload)
+        print(json.dumps(out, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
-def _triple_json(t):
-    return {"lambda": list(t.lam), "mu": list(t.mu), "nu": list(t.nu), "rank": t.rank}
+def _batch(args, command, method, answer, key, line):
+    """Answer every triple of the command line or batch file; one result each.
+
+    The envelope's rank is the triple's for a single triple and null for a batch.
+    """
+    triples = _triples_from_file(args.input_file) if args.input_file else [_triple_from_args(args)]
+    started = time.perf_counter()
+    answers = [answer(t) for t in triples]
+    results = [
+        {"lambda": list(t.lam), "mu": list(t.mu), "nu": list(t.nu), "rank": t.rank, key: a}
+        for t, a in zip(triples, answers)
+    ]
+    rank = triples[0].rank if len(triples) == 1 else None
+    return _emit(args, command, method, rank, started, {"results": results}, map(line, answers))
 
 
-def _envelope(command, method, rank, started, payload):
-    out = {
-        "command": command,
-        "method": method,
-        "rank": rank,
-        "timings": {"total_s": round(time.perf_counter() - started, 6)},
-    }
-    out.update(payload)
-    return out
+def _lambda_mu(args, parse_mu):
+    if args.lam is None or args.mu is None:
+        raise WeightError("--lambda and --mu are required")
+    return parse_weight(args.lam), parse_mu(args.mu)
 
 
 def cmd_count(args):
-    triples = _gather_triples(args)
-    started = time.perf_counter()
-    values = [
-        counting.lr_coefficient(
+    def value(t):
+        return counting.lr_coefficient(
             t, method=args.method, seed=args.seed, threads=args.threads, naive_cap=args.naive_cap
         )
-        for t in triples
-    ]
-    if args.json:
-        results = [dict(_triple_json(t), value=v) for t, v in zip(triples, values)]
-        rank = triples[0].rank if len(triples) == 1 else None
-        print(json.dumps(_envelope("count", args.method, rank, started, {"results": results}), indent=2))
-    else:
-        for v in values:
-            print(v)
-    return 0
+
+    return _batch(args, "count", args.method, value, "value", str)
 
 
 def cmd_nonzero(args):
-    triples = _gather_triples(args)
-    started = time.perf_counter()
-    answers = [counting.lr_nonzero(t) for t in triples]
-    if args.json:
-        results = [
-            dict(_triple_json(t), nonzero=bool(a)) for t, a in zip(triples, answers)
-        ]
-        rank = triples[0].rank if len(triples) == 1 else None
-        print(json.dumps(_envelope("nonzero", "lp", rank, started, {"results": results}), indent=2))
-    else:
-        for a in answers:
-            print("nonzero" if a else "zero")
-    return 0
+    def line(a):
+        return "nonzero" if a else "zero"
+
+    return _batch(args, "nonzero", "lp", counting.lr_nonzero, "nonzero", line)
 
 
 def cmd_kostka(args):
-    if args.lam is None or args.mu is None:
-        raise WeightError("--lambda and --mu are required")
-    lam = parse_weight(args.lam)
-    mu = parse_parts(args.mu)
+    lam, mu = _lambda_mu(args, parse_parts)
     started = time.perf_counter()
     value = klimyk.kostka(lam, mu, via=args.via, cap=args.cap)
-    if args.json:
-        payload = {"lambda": list(lam), "mu": list(mu), "value": value}
-        rank = max(len(lam), len(mu))
-        print(json.dumps(_envelope("kostka", args.via, rank, started, payload), indent=2))
-    else:
-        print(value)
-    return 0
+    payload = {"lambda": list(lam), "mu": list(mu), "value": value}
+    return _emit(args, "kostka", args.via, max(len(lam), len(mu)), started, payload, [value])
 
 
 def cmd_klimyk(args):
-    if args.lam is None or args.mu is None:
-        raise WeightError("--lambda and --mu are required")
-    lam = parse_weight(args.lam)
-    mu = parse_weight(args.mu)
+    lam, mu = _lambda_mu(args, parse_weight)
     started = time.perf_counter()
     terms = klimyk.klimyk_decompose(lam, mu, cap=args.cap)
-    if args.json:
-        payload = {
-            "lambda": list(lam),
-            "mu": list(mu),
-            "terms": [{"nu": list(t.nu), "multiplicity": t.multiplicity} for t in terms],
-        }
-        rank = max(len(lam), len(mu))
-        print(json.dumps(_envelope("klimyk", "klimyk", rank, started, payload), indent=2))
-    else:
-        for t in terms:
-            print(",".join(str(x) for x in t.nu), t.multiplicity)
-    return 0
+    payload = {
+        "lambda": list(lam),
+        "mu": list(mu),
+        "terms": [{"nu": list(t.nu), "multiplicity": t.multiplicity} for t in terms],
+    }
+    lines = [f"{','.join(map(str, t.nu))} {t.multiplicity}" for t in terms]
+    return _emit(args, "klimyk", "klimyk", max(len(lam), len(mu)), started, payload, lines)
 
 
 def cmd_stretch(args):
@@ -162,11 +143,10 @@ def cmd_stretch(args):
         triple, n_max=args.n_max, seed=args.seed, threads=args.threads
     )
     body = stretch.report_to_json(report)
-    if args.json:
-        print(json.dumps(_envelope("stretch", "barvinok", triple.rank, started, {"report": body}), indent=2))
-    else:
-        print(json.dumps(body, indent=2))
-    return 0
+    return _emit(
+        args, "stretch", "barvinok", triple.rank, started, {"report": body},
+        [json.dumps(body, indent=2)],
+    )
 
 
 def cmd_triangulate(args):
@@ -183,23 +163,13 @@ def cmd_triangulate(args):
     unimodular, witness = triangulation.is_unimodular(tri)
     out_path = args.out or f"hive_triangulation_r{args.rank}.txt"
     triangulation.write_triangulation(tri, out_path, args.rank)
-    if args.json:
-        payload = {
-            "unimodular": unimodular,
-            "cells": len(tri.cells),
-            "file": out_path,
-            "order": args.order,
-        }
-        if witness is not None:
-            payload["witness"] = {"indices": list(witness.indices), "det": witness.det}
-        print(json.dumps(_envelope("triangulate", "placing", args.rank, started, payload), indent=2))
-    else:
-        verdict = "PASS" if unimodular else "FAIL"
-        line = f"{verdict} rank={args.rank} cells={len(tri.cells)} file={out_path}"
-        if witness is not None:
-            line += f" witness_det={witness.det}"
-        print(line)
-    return 0
+    cells = len(tri.cells)
+    payload = {"unimodular": unimodular, "cells": cells, "file": out_path, "order": args.order}
+    line = f"{'PASS' if unimodular else 'FAIL'} rank={args.rank} cells={cells} file={out_path}"
+    if witness is not None:
+        payload["witness"] = {"indices": list(witness.indices), "det": witness.det}
+        line += f" witness_det={witness.det}"
+    return _emit(args, "triangulate", "placing", args.rank, started, payload, [line])
 
 
 def cmd_export(args):
@@ -208,9 +178,8 @@ def cmd_export(args):
     weights = _weights_from_args(args)
     triple = make_triple(*weights, rank=max(len(w) for w in weights))
     started = time.perf_counter()
-    system = build_hive_polytope(triple)
     if args.homogenized:
-        rows, rhs = homogenize(system)
+        rows, rhs = homogenize(build_hive_polytope(triple))
         n = len(rows[0])
         nonneg = tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
         poly = HRepPolytope(
@@ -218,21 +187,17 @@ def cmd_export(args):
         )
     else:
         poly = counting.hive_hrep(triple)
-    if args.out:
-        write_polytope_file(poly, args.out)
-        if args.json:
-            payload = {
-                "file": args.out,
-                "rows": len(poly.rows) + len(poly.eq_rows),
-                "dimension": poly.dim,
-                "homogenized": bool(args.homogenized),
-            }
-            print(json.dumps(_envelope("export", "hrep", triple.rank, started, payload), indent=2))
-        else:
-            print(args.out)
-    else:
+    if not args.out:
         sys.stdout.write(polytope_to_text(poly))
-    return 0
+        return 0
+    write_polytope_file(poly, args.out)
+    payload = {
+        "file": args.out,
+        "rows": len(poly.rows) + len(poly.eq_rows),
+        "dimension": poly.dim,
+        "homogenized": bool(args.homogenized),
+    }
+    return _emit(args, "export", "hrep", triple.rank, started, payload, [args.out])
 
 
 def _int_at_least(low):
@@ -319,26 +284,26 @@ def build_parser():
     return parser
 
 
+# The stderr prefix and exit code of each failure main reports; the first match wins.
+_FAILURES = {
+    WeightError: ("error", 2),
+    SizeMismatchError: ("error", 2),
+    OSError: ("error", 2),
+    CountMismatchError: ("self-check mismatch", 3),
+    NoFitError: ("fit failure", 3),
+    InvariantError: ("internal error", 3),
+    CapExceededError: ("cap exceeded", 4),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WeightError, SizeMismatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CountMismatchError as exc:
-        print(f"self-check mismatch: {exc}", file=sys.stderr)
-        return 3
-    except NoFitError as exc:
-        print(f"fit failure: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

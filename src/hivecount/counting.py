@@ -587,7 +587,7 @@ def count_dilation(
     poly: HRepPolytope, n: int, seed: int = 0, threads: int = 1
 ) -> CountResult:
     """Lattice points of the n-th dilation, counted by scaling right-hand sides."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ValueError("dilation factor must be a positive integer")
     scaled = HRepPolytope(
         rows=poly.rows,

@@ -139,13 +139,48 @@ def klimyk_decompose(lam, mu, cap: int = SIZE_CAP):
     return terms
 
 
+def _count_fillings(inner, outer, content, lattice):
+    """Semistandard fillings of the skew shape outer/inner with the given content.
+
+    inner and outer have the same length.  Cells are filled in reverse reading
+    order (each row right to left, rows top to bottom), so both neighbours
+    that bound a cell are placed before it: its value is at most its right
+    neighbour's and more than the value above it.  Every placement extends a
+    prefix of the reading word; with lattice set, that prefix must stay a
+    lattice word, checked incrementally.
+    """
+    letters = len(content)
+    order = [(i, j) for i in range(len(outer)) for j in range(outer[i] - 1, inner[i] - 1, -1)]
+    grid = [[0] * row for row in outer]
+    counts = [0] * (letters + 1)
+    total = 0
+
+    def place(k):
+        nonlocal total
+        if k == len(order):
+            total += 1
+            return
+        i, j = order[k]
+        hi = grid[i][j + 1] if j + 1 < outer[i] else letters
+        lo = grid[i - 1][j] + 1 if i > 0 and j >= inner[i - 1] else 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= content[v - 1]:
+                continue
+            if lattice and v >= 2 and counts[v - 1] <= counts[v]:
+                continue
+            counts[v] += 1
+            grid[i][j] = v
+            place(k + 1)
+            counts[v] -= 1
+
+    place(0)
+    return total
+
+
 def lr_tableau_count(lam, mu, nu, cap: int = SIZE_CAP) -> int:
     """Count skew semistandard fillings of nu/lam, content mu, lattice word.
 
-    Cells are filled in reverse reading order (each row right to left, rows
-    top to bottom) so every placement extends a prefix of the reading word and
-    the lattice condition is checked incrementally.  The cap bounds the number
-    of cells filled, |mu|.
+    The cap bounds the number of cells filled, |mu|.
     """
     lam = validate_weight(lam)
     mu = validate_weight(mu)
@@ -160,37 +195,7 @@ def lr_tableau_count(lam, mu, nu, cap: int = SIZE_CAP) -> int:
     cells = weight_size(mu)
     if cells > cap:
         raise CapExceededError(f"|mu| = {cells} exceeds the brute-force cap {cap}")
-    if cells == 0:
-        return 1
-    letters = nonzero_length(mu)
-    order = [(i, j) for i in range(n) for j in range(nu[i] - 1, lam[i] - 1, -1)]
-    grid = [[0] * nu[i] for i in range(n)]
-    counts = [0] * (letters + 1)
-    total = 0
-
-    def place(k):
-        nonlocal total
-        if k == len(order):
-            total += 1
-            return
-        i, j = order[k]
-        hi = grid[i][j + 1] if j + 1 < nu[i] else letters
-        lo = 1
-        if i > 0 and j >= lam[i - 1]:
-            lo = grid[i - 1][j] + 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v >= 2 and counts[v - 1] <= counts[v]:
-                continue
-            counts[v] += 1
-            grid[i][j] = v
-            place(k + 1)
-            counts[v] -= 1
-        grid[i][j] = 0
-
-    place(0)
-    return total
+    return _count_fillings(lam, nu, mu[: nonzero_length(mu)], lattice=True)
 
 
 def kostka(lam, mu, via: str = DIRECT, cap: int = SIZE_CAP) -> int:
@@ -215,34 +220,4 @@ def kostka(lam, mu, via: str = DIRECT, cap: int = SIZE_CAP) -> int:
         raise CapExceededError(
             f"|lambda| = {weight_size(lam)} exceeds the brute-force cap {cap}"
         )
-    if weight_size(lam) == 0:
-        return 1
-    letters = len(mu)
-    rows = nonzero_length(lam)
-    order = [(i, j) for i in range(rows) for j in range(lam[i])]
-    grid = [[0] * lam[i] for i in range(rows)]
-    counts = [0] * (letters + 1)
-    total = 0
-
-    def place(k):
-        nonlocal total
-        if k == len(order):
-            total += 1
-            return
-        i, j = order[k]
-        lo = 1
-        if j > 0:
-            lo = grid[i][j - 1]
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, letters + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            counts[v] += 1
-            grid[i][j] = v
-            place(k + 1)
-            counts[v] -= 1
-        grid[i][j] = 0
-
-    place(0)
-    return total
+    return _count_fillings((0,) * len(lam), lam, mu, lattice=False)

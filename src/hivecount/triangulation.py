@@ -234,12 +234,17 @@ def hive_triangulation(rank: int) -> Triangulation:
 def integral_vertex_witness(b, rank: int):
     """Integral vertex of {x >= 0 : M x = b} for the rank's hive matrix.
 
-    Returns None when b is outside cone(M), certified by LP infeasibility.
+    Returns None when b is outside cone(M), certified by LP infeasibility, and
+    raises ValueError when b's length is not M's number of rows.
     Raises NoUnimodularCellError if b lies only in non-unimodular cells of the
     stored placing triangulation.
     """
     tri = hive_triangulation(rank)
     rows = hive_matrix_rows(rank)
+    if len(b) != len(rows):
+        raise ValueError(
+            f"rhs has {len(b)} entries; the rank-{rank} hive matrix has {len(rows)} rows"
+        )
     n = len(rows[0])
     feas = lp_standard(rows, list(b), [0] * n)
     if feas.status == INFEASIBLE:

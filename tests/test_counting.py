@@ -327,8 +327,11 @@ def test_count_dilation_scales_box():
     poly = box_poly([(0, 1), (0, 1)])
     for n in (1, 2, 3, 7):
         assert count_dilation(poly, n).value == (n + 1) ** 2
-    with pytest.raises(ValueError):
-        count_dilation(poly, 0)
+    # a float or string factor is rejected too, not failed on in the chart
+    # code (2.0) or counted (1.5)
+    for bad in (0, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match="dilation factor must be a positive integer"):
+            count_dilation(poly, bad)
 
 
 def test_determinism_across_seeds_and_threads():

@@ -132,6 +132,38 @@ def test_kostka_rejects_bad_input():
     assert kostka((2, 1), (1, 1), via=DIRECT) == 0  # size mismatch
 
 
+small_shapes = (
+    st.lists(st.integers(0, 8), min_size=1, max_size=4)
+    .map(lambda xs: tuple(sorted(xs, reverse=True)))
+    .filter(lambda p: sum(p) <= 8)
+)
+
+
+def compositions(size, parts):
+    """Every content vector of the given length and sum, zeros included."""
+    if parts == 1:
+        yield (size,)
+        return
+    for head in range(size + 1):
+        for rest in compositions(size - head, parts - 1):
+            yield (head,) + rest
+
+
+@given(small_shapes, st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_kostka_direct_matches_gelfand_tsetlin(lam, pad):
+    """The tableau filler against the Gelfand-Tsetlin weight system, an independent oracle.
+
+    Every content of the shape's length, padded by up to two zero rows, is
+    checked: contents with zero parts, permuted contents, and contents that
+    are no weight of the shape (multiplicity 0).
+    """
+    lam = lam + (0,) * pad
+    mult = weight_multiplicities(lam)
+    for content in compositions(sum(lam), len(lam)):
+        assert kostka(lam, content, via=DIRECT) == mult.get(content, 0), content
+
+
 def test_kostka_cap():
     with pytest.raises(CapExceededError):
         kostka((20, 12), (16, 16), via=DIRECT, cap=30)

@@ -175,6 +175,14 @@ def test_integral_vertex_witness_infeasible():
     assert integral_vertex_witness(tuple(b), rank) is None
 
 
+@pytest.mark.parametrize("length", [3, 9, 12])
+def test_integral_vertex_witness_rejects_wrong_rhs_length(length):
+    rows = hive_matrix_rows(2)
+    assert len(rows) == 10
+    with pytest.raises(ValueError, match=f"rhs has {length} entries; .* has 10 rows"):
+        integral_vertex_witness((0,) * length, 2)
+
+
 def test_write_triangulation_format(tmp_path):
     tri = hive_triangulation(2)
     path = tmp_path / "tri.txt"
