@@ -18,13 +18,18 @@ generating functions are zero (Barvinok and Pommersheim 1999; De Loera,
 Hemmecke, Tauzer and Yoshida 2004).  Hive polytopes favour the polar: their
 rows are short vectors, while the rays of their degenerate tangent cones are
 long, so polar cells have far smaller determinants and decompose into fewer
-leaves.
+leaves.  At a vertex on at most d + 1 facets the cells of the polar, and
+their rays when all are unimodular, are read off the vertex-facet
+incidence instead of a triangulation: d + 1 rows in dimension d form a
+circuit, which has two triangulations, one per sign class of its linear
+dependence (De Loera, Rambau and Santos 2010).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil, comb, floor, gcd
 
 from .errors import (
@@ -376,31 +381,98 @@ def _facet_mask(on):
     )
 
 
-def _edge_directions(vertices, i, rows, on):
-    """Primitive edge directions u_j at vertex i of a d-polytope, which lies on the d facets rows.
+def _vertex_edges(vertices, i, rows, on, cache):
+    """Primitive edge directions at vertex i, on the facet rows rows, keyed by dropped rows.
 
-    The facets other than rows[j] meet the polytope in an edge, whose two
-    vertices are the AND of their incidence bitsets on, taken from the set
-    of all vertices since d may be 1.  u_j points from vertex i to the other
-    one, so it lies on every facet in rows but the j-th.
+    Maps (x, y), and (y, x), to the direction from vertex i of the edge on
+    every facet in rows but rows[x] and rows[y], x = y for one row, where
+    there is one.  The vertices on those facets are the AND of their
+    incidence bitsets on, taken from the set of all vertices since d may be
+    1: vertex i and the edge's other end.  At a simple vertex (d rows)
+    leaving out any one row leaves an edge.  At a vertex on d + 1 rows,
+    whose one linear dependence is lambda, leaving out row x does so exactly
+    when lambda_x = 0, and leaving out two rows x, y of the support exactly
+    when lambda_x and lambda_y have opposite signs.  cache maps each vertex
+    pair (i, o), i < o, to the direction from vertex i to vertex o, so both
+    ends share it.
     """
-    # the AND over all rows but the j-th is prefix[j] & suffix
-    prefix = [(1 << len(vertices)) - 1]
-    for k in rows[:-1]:
+    n = len(rows)
+    # prefix[x] and suffix[x]: the ANDs over rows[:x] and rows[x:], vertex i cleared
+    prefix = [(1 << len(vertices)) - 1 ^ 1 << i]
+    for k in rows:
         prefix.append(prefix[-1] & on[k])
-    suffix = prefix[0]
-    ray = vertices[i][0]
-    a, q = ray[:-1], ray[-1]
-    edges = []
-    for j in range(len(rows) - 1, -1, -1):
-        shared = prefix[j] & suffix
-        if shared.bit_count() != 2:
-            raise InvariantError("an edge at a simple vertex does not have two vertices")
-        other = vertices[(shared ^ 1 << i).bit_length() - 1][0]
-        b, r = other[:-1], other[-1]
-        edges.append(primitive([q * x - r * y for x, y in zip(b, a)]))
-        suffix &= on[rows[j]]
-    return edges[::-1]
+    suffix = [prefix[0]] * (n + 1)
+    for x in range(n - 1, -1, -1):
+        suffix[x] = suffix[x + 1] & on[rows[x]]
+    ends = {}
+    for x in range(n):
+        if shared := prefix[x] & suffix[x + 1]:
+            ends[x, x] = shared
+    for x, y in combinations([x for x in range(n) if (x, x) not in ends], 2):
+        shared = prefix[x] & suffix[y + 1]
+        for k in rows[x + 1 : y]:
+            shared &= on[k]
+        if shared:
+            ends[x, y] = shared
+    edges = {}
+    for (x, y), shared in ends.items():
+        if shared & shared - 1:
+            raise InvariantError("an edge has more than two vertices")
+        o = shared.bit_length() - 1
+        key = (i, o) if i < o else (o, i)
+        u = cache.get(key)
+        if u is None:
+            (*a, q), (*b, r) = vertices[key[0]][0], vertices[key[1]][0]
+            u = cache[key] = primitive([q * bj - r * aj for bj, aj in zip(b, a)])
+        edges[x, y] = edges[y, x] = u if i < o else tuple([-v for v in u])
+    return edges
+
+
+def _edge_leaves(ray, gens, edges):
+    """Leaves of cone(gens)'s triangulated polar, read off the edges; None unless all unimodular.
+
+    gens are the n = d or d + 1 facet rows at a vertex and edges its edge
+    directions (see _vertex_edges).  The rows x with an edge e_xx off row x
+    alone are those with lambda_x = 0 (every row at a simple vertex), and
+    e_xx is a ray of every cell.  The other rows, the support of lambda,
+    split into two sign classes, and the cells are gens without one row s
+    of the class of the last support row, the side that the placing
+    triangulation in row order picks.  The polar of the cell without s has
+    the rays e_xx, the edge e_sk for each k of the other class, and for each
+    j other than s in s's class the difference e_sk - e_jk for the first k
+    of the other class, which is tight on every row but s and j.  The cell
+    is unimodular exactly when each ray u, scaled to g . u = -1 on its own
+    row g, is integral: edges are primitive, so they must have g . e = -1,
+    and the difference, made of two edges so scaled, must divide exactly.
+    Then the generators G and the rays U have G U = -I, so each leaf is the
+    closed cone over U with inverse -G.
+    """
+    n = len(gens)
+    support = [x for x in range(n) if (x, x) not in edges]
+    side = [x for x in support if (x, support[-1]) not in edges] or [None]
+    other = [x for x in support if (x, support[-1]) in edges]
+    if support and not other:
+        return None
+    inverse = [tuple([-v for v in g]) for g in gens]
+    leaves = []
+    for s in side:
+        rays = []
+        for x in range(n):
+            if x == s:
+                continue
+            u = edges.get((x, x)) or edges.get((s, x))
+            if u is None:
+                diff = [v - w for v, w in zip(edges[s, other[0]], edges[x, other[0]])]
+                t = -dot(gens[x], diff)
+                if any(v % t for v in diff):
+                    return None
+                u = tuple([v // t for v in diff])
+            elif dot(gens[x], u) != -1:
+                return None
+            rays.append(u)
+        cell = tuple([g for x, g in enumerate(inverse) if x != s])
+        leaves.append(SignedUnimodularCone(1, ray, tuple(rays), (False,) * len(rays), cell))
+    return leaves
 
 
 def _vertex_leaves(ray, gens, edges):
@@ -409,41 +481,50 @@ def _vertex_leaves(ray, gens, edges):
     gens are the primitive facet rows through the vertex of the homogenized
     ray (see polyhedra.vertex_of), which each leaf records as its apex, so that polar is
     the tangent cone, and the polar of a full-dimensional cone is pointed.
-    At a simple vertex edges holds the primitive edge directions u_j, on
-    every g_i but g_j (see _edge_directions); when g_j . u_j = -1 for every j,
-    G U = -I, so the polar cone is unimodular, and its one leaf is the closed
-    cone over the u_j with inverse -G, as its triangulation would find.
+    At a vertex on at most d + 1 facets edges holds the edge directions read
+    off the incidence (see _vertex_edges), and when every cell of the
+    polar's triangulation is unimodular its leaves are read off them (see
+    _edge_leaves).  Otherwise, and with edges None, gens are triangulated
+    and each cell decomposed.
     """
-    if edges is not None and all(dot(g, u) == -1 for g, u in zip(gens, edges)):
-        inverse = tuple([tuple([-v for v in g]) for g in gens])
-        return [SignedUnimodularCone(1, ray, tuple(edges), (False,) * len(gens), inverse)]
+    leaves = _edge_leaves(ray, gens, edges) if edges is not None else None
+    if leaves is not None:
+        return leaves
     out = []
     for cell in _simplicial_cells(gens):
         _barvinok_recurse(1, *cell, None, ray, out)
     return out
 
 
-def _series_quotient(b, a, deg):
-    """a[0]^(deg+1) * b / a up to degree deg, for int series a, b with a[0] != 0.
+def _series_quotient(b, a, deg, sign=1):
+    """sign * a[0]^(deg+1) * b / a up to degree deg, for int series a, b with a[0] != 0.
 
     One triangular solve: coefficient k is
-    (a[0]^(deg+1) b[k] - sum_{i>=1} a[i] c[k-i]) / a[0].  Coefficient k of 1/a
-    has denominator dividing a[0]^(k+1), so every coefficient here is an int
-    and every division is exact.
+    (sign a[0]^(deg+1) b[k] - sum_{i>=1} a[i] c[k-i]) / a[0].  Coefficient k
+    of 1/a has denominator dividing a[0]^(k+1), so every coefficient here is
+    an int and every division is exact.
     """
     lead = a[0]
-    top = lead ** (deg + 1)
+    top = sign * lead ** (deg + 1)
     c = []
     for k in range(deg + 1):
-        c.append((top * b[k] - dot(a[1 : k + 1], c[::-1])) // lead)
+        acc = top * b[k]
+        for i in range(k):
+            acc -= a[k - i] * c[i]
+        c.append(acc // lead)
     return c
 
 
 def _binomial_series(n, deg):
-    """Coefficients of (1+s)^n up to degree deg, n any integer."""
-    if n >= 0:
-        return [comb(n, k) for k in range(deg + 1)]
-    return [(-1) ** k * comb(-n + k - 1, k) for k in range(deg + 1)]
+    """Coefficients of (1+s)^n up to degree deg, n any integer.
+
+    Coefficient k is n (n-1) ... (n-k+1) / k!, an int, so k times it is
+    coefficient k-1 times n-k+1, and each division is exact.
+    """
+    out = [1]
+    for k in range(1, deg + 1):
+        out.append(out[-1] * (n - k + 1) // k)
+    return out
 
 
 def _lowest_lattice_point(leaf, a, q):
@@ -502,10 +583,10 @@ def _leaf_series(leaf, a, q, direction, e_of, h_of, deg, emax):
         if h is None:
             h = h_of[e] = sum(comb(e, k + 1) << width * k for k in range(deg + 1))
         packed = packed * h & mask
-    denom = [packed >> width * k & (1 << width) - 1 for k in range(deg + 1)]
-    series = _series_quotient(_binomial_series(exponent, deg), denom, deg)
+    low = (1 << width) - 1
+    denom = [packed >> width * k & low for k in range(deg + 1)]
     sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
-    return [sgn * v for v in series], denom[0] ** (deg + 1)
+    return _series_quotient(_binomial_series(exponent, deg), denom, deg, sgn), denom[0] ** (deg + 1)
 
 
 def _pairwise_total(sums):
@@ -555,9 +636,15 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     on = incidence_bitsets([mask for _, mask in vertices], len(gens))
     facets = _facet_mask(on)
     vertex_leaves = []
+    cache = {}
     for i, (ray, mask) in enumerate(vertices):
-        rows = [k for k in range(len(gens)) if (mask & facets) >> k & 1]
-        edges = _edge_directions(vertices, i, rows, on) if len(rows) == d else None
+        rows = []
+        bits = mask & facets
+        while bits:
+            low = bits & -bits
+            rows.append(low.bit_length() - 1)
+            bits ^= low
+        edges = _vertex_edges(vertices, i, rows, on, cache) if len(rows) <= d + 1 else None
         vertex_leaves.append((ray, _vertex_leaves(ray, [gens[k] for k in rows], edges)))
     ray_set = {u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays}
     direction = _specialization_direction(ray_set, d, seed)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -477,11 +478,12 @@ def test_pairs_made_by_a_restriction_take_no_second_pass(monkeypatch, triple, va
 def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
     """On the 557744 row no polar cone takes an elimination.
 
-    The polar cones of its 161 simple vertices are all unimodular, which the
-    edge directions show without a triangulation; the other 71 vertices'
-    polar cones are triangulated, which gets every cell's adjugate by
-    bordering and rank-one updates, and every child in the recursion gets
-    its adjugate from its parent.  linalg keeps no elimination to take.
+    The polar cones of its 161 simple vertices, and those of 53 of its 59
+    vertices on d + 1 = 7 facets, have only unimodular cells, which the edge
+    directions show without a triangulation; the other 18 vertices' polar
+    cones are triangulated, which gets every cell's adjugate by bordering
+    and rank-one updates, and every child in the recursion gets its
+    adjugate from its parent.  linalg keeps no elimination to take.
     """
     import hivecount.counting as counting
     import hivecount.linalg as linalg
@@ -500,7 +502,7 @@ def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
     monkeypatch.setattr(counting, "placing_triangulation", counted)
     paper_row = make_triple((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45))
     assert lr_coefficient(paper_row) == 557744
-    assert len(calls) == 71
+    assert len(calls) == 18
     # a simple vertex's polar cone is square: none of them is triangulated
     assert all(n > d for n, d in calls)
 
@@ -739,17 +741,44 @@ def _count_generators(poly):
     ]
 
 
+def _prism(rows, rhs):
+    """The prism rows x [0, 1] over the polytope rows x <= rhs, one dimension up."""
+    rows = [tuple(a) + (0,) for a in rows]
+    unit = (0,) * (len(rows[0]) - 1)
+    return HRepPolytope(rows=rows + [unit + (-1,), unit + (1,)], rhs=tuple(rhs) + (0, 1))
+
+
 @with_cone_examples
 @example(HRepPolytope(rows=((2,), (-3,)), rhs=(7, 2)))  # [-2/3, 7/2]: one facet per vertex
+# at the origin the 5 facets x, y, z, x - y + z <= 0 and w >= 0 have one
+# dependence, which leaves w >= 0 out; every cell of that circuit is unimodular
+@example(_prism(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+                (0, 0, 0, 0, 2, 2, 2)))
+# the same at the apex of a square pyramid, whose circuit cells have |det| 2
+@example(_prism(CONE_EXAMPLES[0].rows, CONE_EXAMPLES[0].rhs))
+@example(hive_hrep(make_triple((22, 19, 8, 3), (23, 20, 13, 12), (41, 38, 24, 17))))
+@example(hive_hrep(make_triple(*SMALL_WEIGHT_ROWS[-1][0])))
+@example(hive_hrep(make_triple((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (10, 10, 8, 7, 4, 3))))
 @settings(max_examples=60, deadline=None)
 def test_simple_vertex_leaf_matches_elimination(poly):
-    """At a vertex on exactly dim facets the edge directions give the elimination's leaves."""
-    from hivecount.counting import _vertex_leaves
+    """At a vertex on at most dim + 1 facets the edge directions give the elimination's leaves.
+
+    They are read off the edges exactly when every cell of the placing
+    triangulation is unimodular; otherwise the vertex is triangulated.
+    """
+    from hivecount.counting import _edge_leaves, _vertex_leaves
+    from hivecount.triangulation import placing_triangulation
+
+    def leaf_set(leaves):
+        return Counter((leaf.sign, leaf.rays, leaf.inverse) for leaf in leaves)
 
     for ray, gens, edges in _vertex_leaf_calls(poly):
-        assert (edges is not None) == (len(gens) == len(ray) - 1)
+        assert (edges is not None) == (len(gens) <= len(ray))
         if edges is not None:
-            assert _vertex_leaves(ray, gens, edges) == _vertex_leaves(ray, gens, None)
+            expected = leaf_set(_vertex_leaves(ray, gens, None))
+            assert leaf_set(_vertex_leaves(ray, gens, edges)) == expected
+            unimodular = all(abs(c.det) == 1 for c in placing_triangulation(gens).cells)
+            assert (_edge_leaves(ray, gens, edges) is not None) == unimodular
 
 
 def test_simple_vertex_shortcut_needs_a_unimodular_polar():
@@ -760,7 +789,7 @@ def test_simple_vertex_shortcut_needs_a_unimodular_polar():
     # edge directions fail the test and the elimination runs
     calls = _vertex_leaf_calls(CONE_EXAMPLES[1])
     unimodular = {
-        ray: all(dot(g, u) == -1 for g, u in zip(gens, edges)) for ray, gens, edges in calls
+        ray: all(dot(g, edges[j, j]) == -1 for j, g in enumerate(gens)) for ray, gens, edges in calls
     }
     assert unimodular == {(0, 0, 1): True, (4, 0, 1): True, (0, 2, 1): False}
     leaves = {ray: _vertex_leaves(ray, gens, edges) for ray, gens, edges in calls}
