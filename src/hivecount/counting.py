@@ -4,7 +4,7 @@ The naive counter recurses on coordinate bounds and exists as an oracle.  The
 production path follows Barvinok: chart away equalities, enumerate vertices,
 decompose the cone at each vertex into signed unimodular cones, and read the
 count off the short rational generating functions by specializing along a
-generic direction.
+generic direction, summed modulo a prime above a bound on the count.
 
 A cone can be decomposed on either of two sides.  decompose_cone works on
 the primal side: it triangulates the tangent cone's rays and decomposes each
@@ -30,7 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, comb, floor, gcd
+from math import ceil, comb, floor, prod
+from operator import floordiv, neg
 
 from .errors import (
     CapExceededError,
@@ -258,17 +259,19 @@ def count_naive(poly: HRepPolytope, cap: int = NAIVE_DIMENSION_CAP) -> CountResu
 def _short_vector(adj, target):
     """Nonzero vector of the lattice L of adj's columns with sup-norm below target = |D| >= 2.
 
-    LLL usually hands one over directly.  Otherwise some column does, once
-    reduced: adj is D times the inverse of the ray matrix, so L holds
-    |D| Z^d, and its index |D|^(d-1) is below that of |D| Z^d, so some
-    column is nonzero mod |D|.  Reduced entrywise into (-|D|/2, |D|/2] it
-    stays in L and nonzero, with sup-norm at most |D| / 2.
+    adj is D times the inverse of the ray matrix, so L holds |D| Z^d with
+    index |D|, and some column is nonzero mod |D|; reduced entrywise into
+    (-|D|/2, |D|/2] it stays in L and nonzero.  For |D| <= 3, L / |D| Z^d has
+    one nonzero class up to sign, so every short vector has that column's
+    zero pattern, and the column, of sup-norm 1, is taken.  For |D| > 3 LLL
+    usually hands over a shorter vector, and the column is the fallback.
     """
     d = len(adj)
     cols = [[adj[i][j] for i in range(d)] for j in range(d)]
-    norm, vec = min((max(map(abs, v)), tuple(v)) for v in lll_reduce(cols))
-    if norm < target:
-        return vec
+    if target > 3:
+        norm, vec = min((max(map(abs, v)), tuple(v)) for v in lll_reduce(cols))
+        if norm < target:
+            return vec
     half = target // 2
     col = next(c for c in cols if any(v % target for v in c))
     return tuple(r - target if r > half else r for r in (v % target for v in col))
@@ -496,35 +499,30 @@ def _vertex_leaves(ray, gens, edges):
     return out
 
 
-def _series_quotient(b, a, deg, sign=1):
-    """sign * a[0]^(deg+1) * b / a up to degree deg, for int series a, b with a[0] != 0.
+# the Mersenne primes 2^p - 1, in increasing order, that the count takes its modulus from
+_PRIMES = tuple((1 << p) - 1 for p in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253))
 
-    One triangular solve: coefficient k is
-    (sign a[0]^(deg+1) b[k] - sum_{i>=1} a[i] c[k-i]) / a[0].  Coefficient k
-    of 1/a has denominator dividing a[0]^(k+1), so every coefficient here is
-    an int and every division is exact.
+
+def _box_bound(vertices):
+    """Integer points of the box around the vertices: an upper bound on the count.
+
+    For the vertex v of each ray (q v, q), coordinate j spans
+    floor(max v_j) - ceil(min v_j) + 1 = max floor(v_j) + max floor(-v_j) + 1.
     """
-    lead = a[0]
-    top = sign * lead ** (deg + 1)
-    c = []
-    for k in range(deg + 1):
-        acc = top * b[k]
-        for i in range(k):
-            acc -= a[k - i] * c[i]
-        c.append(acc // lead)
-    return c
+    *cols, q = zip(*[ray for ray, _ in vertices])
+    bound = 1
+    for col in cols:
+        bound *= max(map(floordiv, col, q)) + max(map(floordiv, map(neg, col), q)) + 1
+    return bound
 
 
-def _binomial_series(n, deg):
-    """Coefficients of (1+s)^n up to degree deg, n any integer.
-
-    Coefficient k is n (n-1) ... (n-k+1) / k!, an int, so k times it is
-    coefficient k-1 times n-k+1, and each division is exact.
-    """
-    out = [1]
-    for k in range(1, deg + 1):
-        out.append(out[-1] * (n - k + 1) // k)
-    return out
+def _modulus(bound, emax):
+    """The smallest listed prime above bound and emax, else the product of those above emax."""
+    primes = [p for p in _PRIMES if p > emax]
+    modulus = next((p for p in primes if p > bound), None) or prod(primes)
+    if modulus <= bound:
+        raise InvariantError(f"the listed primes do not exceed the box bound {bound}")
+    return modulus
 
 
 def _lowest_lattice_point(leaf, a, q):
@@ -535,8 +533,6 @@ def _lowest_lattice_point(leaf, a, q):
     the apex's coordinate, taken as 1 on an open facet: at an integral apex of
     a closed leaf, the apex itself.
     """
-    if q == 1 and not any(leaf.open_facets):
-        return a
     shifts = []
     for row, is_open in zip(leaf.inverse, leaf.open_facets):
         r = -dot(row, a) % q
@@ -550,55 +546,62 @@ def _lowest_lattice_point(leaf, a, q):
     return tuple(point)
 
 
-def _leaf_series(leaf, a, q, direction, e_of, h_of, deg, emax):
-    """Signed truncated series of the leaf's generating function at (1+s)^direction.
+def _series_total(vertex_leaves, direction, e_of, deg, modulus):
+    """Coefficients 0..deg, mod modulus, of the leaves' summed series at (1+s)^direction.
 
-    The leaf's apex is a / q, and e_of maps each of its rays u to direction . u.
-    h_of caches, for each e = |direction . u|, the series ((1+s)^e - 1) / s,
-    which leaves across the count share, as one int with coefficient k at bit
-    width * k.  The coefficients are nonnegative,
-    so while each one of the product up to degree deg is below 2^width, the
-    masked int product packs the product series (Kronecker substitution).  For
-    E <= deg * emax the sum of the leaf's deg values e, coefficient k of the
-    product is at most C(E, k + deg) <= E^(2 deg).
-    Returns (coefficients, scale): the series is coefficients / scale, with
-    int coefficients and scale = P^(deg+1) for P the product of the
-    |direction . ray| over the leaf's rays.
+    vertex_leaves pairs each vertex's ray (a, q) with its leaves of deg rays,
+    e_of maps each ray u to e = direction . u, none zero, and modulus is prime
+    to every |e| and to 1..deg.  With h_e = ((1+s)^e - 1) / s, s^deg times a
+    leaf's term is +-(1+s)^n / prod h_|e|, where n is direction . p plus the
+    |e| of each negative e, for p the lowest lattice point (a for a closed
+    leaf at an integral vertex); coefficient deg of the sum is the count.
+    h_of holds h_e packed, coefficient k at bit width * k: a product of m <=
+    deg of them is at most (1+s)^E / s^m coefficientwise, E = deg * emax, so
+    it packs exactly while C(E, j) < 2^width for j <= 2 deg (Kronecker
+    substitution).  The binomial series and the solve of the quotient,
+    c[k] = (b[k] - sum_{i>=1} a[i] c[k-i]) / a[0], run mod modulus.
     """
-    d = len(leaf.rays)
-    exponent = dot(direction, _lowest_lattice_point(leaf, a, q))
-    negatives = 0
-    width = 2 * deg * (deg * emax).bit_length() + 1
+    es = set(map(abs, e_of.values()))
+    if 0 in es:
+        raise InvariantError("specialization direction is orthogonal to a ray")
+    emax = max(es)
+    width = max(comb(deg * emax, j) for j in range(2 * deg + 1)).bit_length()
     mask = (1 << width * (deg + 1)) - 1
-    packed = 1
-    for u in leaf.rays:
-        e = e_of[u]
-        if e == 0:
-            raise InvariantError("specialization direction is orthogonal to a ray")
-        if e < 0:
-            negatives += 1
-            e = -e
-            exponent += e
-        h = h_of.get(e)
-        if h is None:
-            h = h_of[e] = sum(comb(e, k + 1) << width * k for k in range(deg + 1))
-        packed = packed * h & mask
     low = (1 << width) - 1
-    denom = [packed >> width * k & low for k in range(deg + 1)]
-    sgn = leaf.sign * (-1 if (negatives + d) % 2 else 1)
-    return _series_quotient(_binomial_series(exponent, deg), denom, deg, sgn), denom[0] ** (deg + 1)
-
-
-def _pairwise_total(sums):
-    """Sum of sums' items (scale, acc) as one (scale, acc), merged two at a time over lcm."""
-    level = list(sums.items())
-    while len(level) > 1:
-        merged = []
-        for (s, x), (t, y) in zip(level[::2], level[1::2]):
-            g = gcd(s, t)
-            merged.append((s // g * t, [u * (t // g) + v * (s // g) for u, v in zip(x, y)]))
-        level = merged + level[len(merged) * 2 :]
-    return level[0]
+    inverses = [pow(k, -1, modulus) for k in range(1, deg + 1)]
+    h_of = {e: sum(comb(e, k + 1) << width * k for k in range(deg + 1)) for e in es}
+    total = [0] * (deg + 1)
+    for ray, leaves in vertex_leaves:
+        a, q = ray[:-1], ray[-1]
+        apex = dot(direction, a)
+        for leaf in leaves:
+            if q == 1 and not any(leaf.open_facets):
+                n = apex
+            else:
+                n = dot(direction, _lowest_lattice_point(leaf, a, q))
+            sign = -leaf.sign if deg % 2 else leaf.sign
+            packed = 1
+            for u in leaf.rays:
+                e = e_of[u]
+                if e < 0:
+                    sign = -sign
+                    e = -e
+                    n += e
+                packed = packed * h_of[e] & mask
+            denom = [packed >> width * k & low for k in range(deg + 1)]
+            lead = pow(denom[0], -1, modulus)
+            binomial = sign
+            quotient = []
+            for k in range(deg + 1):
+                if k:
+                    binomial = binomial * (n - k + 1) * inverses[k - 1] % modulus
+                acc = binomial
+                for i in range(k):
+                    acc -= denom[k - i] * quotient[i]
+                acc = acc * lead % modulus
+                quotient.append(acc)
+                total[k] += acc
+    return [c % modulus for c in total]
 
 
 def _specialization_direction(all_rays, dim, seed):
@@ -621,6 +624,9 @@ def _specialization_direction(all_rays, dim, seed):
 def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> CountResult:
     """Lattice points of a bounded poly via signed unimodular cones.
 
+    The leaves' series are summed mod M > B, the box bound of the vertices,
+    with M prime to every denominator, so the sum mod M is the count N in
+    [0, B].  Coefficients below degree d must vanish mod M, and N <= B.
     seed picks the specialization direction and never changes the count;
     threads is accepted for compatibility and has no effect, since
     pure-Python work does not run in parallel under the GIL.
@@ -649,25 +655,14 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     ray_set = {u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays}
     direction = _specialization_direction(ray_set, d, seed)
     e_of = {u: dot(direction, u) for u in ray_set}
-    emax = max(map(abs, e_of.values()))
-    h_of = {}
-    sums = {}  # scale -> sum of the int series of the leaves with that scale
-    while vertex_leaves:
-        # popped, each vertex's leaves are freed once summed, so sums adds no peak memory
-        ray, leaves = vertex_leaves.pop()
-        a, q = ray[:-1], ray[-1]
-        for leaf in leaves:
-            series, scale = _leaf_series(leaf, a, q, direction, e_of, h_of, d, emax)
-            acc = sums.setdefault(scale, [0] * (d + 1))
-            for k, c in enumerate(series):
-                acc[k] += c
-    scale, acc = _pairwise_total(sums)
-    if any(acc[:d]):
-        raise InvariantError(f"loose Laurent terms in specialization: {acc[:d]} / {scale}")
-    value, rest = divmod(acc[d], scale)
-    if rest or value < 0:
-        raise InvariantError(f"count specialized to {acc[d]} / {scale}, not a nonnegative integer")
-    return CountResult(value, BARVINOK)
+    bound = _box_bound(vertices)
+    modulus = _modulus(bound, max(d, *map(abs, e_of.values())))
+    total = _series_total(vertex_leaves, direction, e_of, d, modulus)
+    if any(total[:d]):
+        raise InvariantError(f"loose Laurent terms in specialization: {total[:d]} mod {modulus}")
+    if total[d] > bound:
+        raise InvariantError(f"count {total[d]} mod {modulus} exceeds the box bound {bound}")
+    return CountResult(total[d], BARVINOK)
 
 
 def count_dilation(

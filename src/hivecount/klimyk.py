@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .counting import lr_coefficient
-from .errors import CapExceededError, InvariantError, WeightError
+from .errors import CapExceededError, InvariantError
 from .weights import (
     kostka_to_lr,
     make_triple,
+    nonnegative_parts,
     nonzero_length,
     validate_weight,
     weight_size,
@@ -206,9 +207,7 @@ def kostka(lam, mu, via: str = DIRECT, cap: int = SIZE_CAP) -> int:
     (sigma, tau) the suffix sums of mu and counts the hive polytope.
     """
     lam = validate_weight(lam)
-    mu = tuple(int(x) for x in mu)
-    if any(x < 0 for x in mu):
-        raise WeightError(f"content {mu} has a negative part")
+    mu = nonnegative_parts(mu)
     if weight_size(lam) != sum(mu):
         return 0
     if via == HIVE:

@@ -15,12 +15,18 @@ from .errors import WeightError
 Weight = tuple[int, ...]
 
 
+def nonnegative_parts(parts) -> tuple[int, ...]:
+    """The parts as ints; raises WeightError naming a part that is not a nonnegative integer."""
+    parts = tuple(parts)
+    for x in parts:
+        if x != int(x) or x < 0:
+            raise WeightError(f"part {x!r} of {parts} is not a nonnegative integer")
+    return tuple(map(int, parts))
+
+
 def validate_weight(parts) -> Weight:
-    """Check weak decrease and nonnegativity; return a normalized tuple."""
-    w = tuple(int(x) for x in parts)
-    for x in w:
-        if x < 0:
-            raise WeightError(f"negative part in weight {w}")
+    """Check integrality, nonnegativity and weak decrease; return a normalized tuple."""
+    w = nonnegative_parts(parts)
     for a, b in zip(w, w[1:]):
         if a < b:
             raise WeightError(f"weight {w} is not weakly decreasing")
@@ -131,9 +137,7 @@ def kostka_to_lr(lam, mu) -> tuple[Weight, Weight]:
     sums, so tau - sigma = mu and both are partitions.  Requires |lam| = |mu|.
     """
     lam = validate_weight(lam)
-    mu = tuple(int(x) for x in mu)
-    if any(x < 0 for x in mu):
-        raise WeightError(f"content {mu} has a negative part")
+    mu = nonnegative_parts(mu)
     if weight_size(lam) != weight_size(mu):
         raise WeightError(
             f"|lambda| = {weight_size(lam)} differs from |mu| = {weight_size(mu)}"

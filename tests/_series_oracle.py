@@ -1,18 +1,18 @@
-"""Leaf series and final sum of the count before packed ints, kept as a test oracle.
+"""Exact leaf series and final sum of the count, kept as a test oracle.
 
 leaf_series_unpacked multiplies a leaf's denominator series one _series_mul
 at a time, inverts it with _scaled_inverse and multiplies the binomial series
-by that inverse, and per_scale_total adds one Fraction per scale and
-coefficient.  counting._leaf_series packs the denominator series into ints
-and divides by it in one triangular solve (counting._series_quotient), and
-counting._pairwise_total merges scales two at a time; all must return
-exactly what these do.
+by that inverse, all over the integers, and per_scale_total adds one Fraction
+per scale and coefficient.  counting._series_total packs the denominator
+series into ints, runs the binomial series and the division mod a modulus M
+and adds every leaf into one list mod M; reduced mod M, exact_total must
+give what it returns.
 """
 
 from fractions import Fraction
 from math import comb
 
-from hivecount.counting import _binomial_series, _lowest_lattice_point
+from hivecount.counting import _lowest_lattice_point
 from hivecount.errors import InvariantError
 from hivecount.linalg import dot
 
@@ -44,13 +44,25 @@ def _scaled_inverse(a, deg):
     return out
 
 
+def _binomial_series(n, deg):
+    """Coefficients of (1+s)^n up to degree deg, n any integer.
+
+    Coefficient k is n (n-1) ... (n-k+1) / k!, an int, so k times it is
+    coefficient k-1 times n-k+1, and each division is exact.
+    """
+    out = [1]
+    for k in range(1, deg + 1):
+        out.append(out[-1] * (n - k + 1) // k)
+    return out
+
+
 def series_quotient_by_inverse(b, a, deg):
     """a[0]^(deg+1) * b / a up to degree deg, as b times the scaled inverse of a."""
     return _series_mul(b, _scaled_inverse(a, deg), deg)
 
 
 def leaf_series_unpacked(leaf, a, q, direction, deg):
-    """(coefficients, scale) of the leaf's series, as counting._leaf_series returns them."""
+    """(coefficients, scale): the leaf's series is coefficients / scale, over the integers."""
     d = len(leaf.rays)
     exponent = dot(direction, _lowest_lattice_point(leaf, a, q))
     negatives = 0
@@ -73,3 +85,20 @@ def per_scale_total(sums):
     """[sum of acc[k] / scale over sums' items (scale, acc)], one Fraction per term."""
     n = len(next(iter(sums.values())))
     return [sum(Fraction(acc[k], scale) for scale, acc in sums.items()) for k in range(n)]
+
+
+def exact_total(vertex_leaves, direction, deg):
+    """The leaves' summed series as Fractions, each leaf's added into the sum of its scale."""
+    sums = {}
+    for ray, leaves in vertex_leaves:
+        for leaf in leaves:
+            series, scale = leaf_series_unpacked(leaf, ray[:-1], ray[-1], direction, deg)
+            acc = sums.setdefault(scale, [0] * (deg + 1))
+            for k, c in enumerate(series):
+                acc[k] += c
+    return per_scale_total(sums)
+
+
+def reduce_mod(fractions, modulus):
+    """Each Fraction mod modulus, whose denominators must be invertible modulo it."""
+    return [f.numerator * pow(f.denominator, -1, modulus) % modulus for f in fractions]

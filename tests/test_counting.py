@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _corpus import SMALL_WEIGHT_ROWS
-from _lll_oracle import det, rank
+from _lll_oracle import adjugate_cofactor, det, rank
 from _reduce_oracle import lp_reduce_bounded
 from _samplers import random_tensor_triples, random_triple_corpus
 from _series_oracle import (
+    _binomial_series,
     _series_mul,
-    leaf_series_unpacked,
-    per_scale_total,
+    exact_total,
+    reduce_mod,
     series_quotient_by_inverse,
 )
 from _vertex_oracle import _polar_generators
@@ -39,16 +40,17 @@ from hivecount import (
     make_triple,
 )
 from hivecount.counting import (
+    _PRIMES,
     NAIVE_DIMENSION_CAP,
     SignedUnimodularCone,
-    _binomial_series,
+    _box_bound,
     _iter_chart_points,
-    _leaf_series,
-    _pairwise_total,
     _pinned_by_pairs,
     _reduce,
-    _series_quotient,
+    _series_total,
+    _short_vector,
 )
+from hivecount.errors import InvariantError
 from hivecount.linalg import dot, vec_gcd
 from hivecount.polyhedra import (
     VertexCone,
@@ -374,6 +376,17 @@ def test_rank6_row_matches_tableau_rule():
     assert lr_coefficient(make_triple(lam, lam, nu)) == lr_tableau_count(lam, lam, nu) == 16
 
 
+def test_r6_is_the_fifth_dilation_of_a_tableau_checked_triple():
+    """R6 = (60,50,40,30,20,10),(55,45,35,25,15,5) -> (100,90,75,60,40,25) = 37239595.
+
+    It is the fifth dilation of a triple whose coefficient the tableau rule
+    gives as 667 (|mu| = 36, above the default cap).
+    """
+    lam, mu, nu = (12, 10, 8, 6, 4, 2), (11, 9, 7, 5, 3, 1), (20, 18, 15, 12, 8, 5)
+    assert lr_tableau_count(lam, mu, nu, cap=36) == 667
+    assert count_dilation(hive_hrep(make_triple(lam, mu, nu)), 5).value == 37239595
+
+
 def test_rank6_second_row_matches_tableau_rule():
     # dimension 9 with degenerate vertices of up to 22 tight rows: the polar
     # side built on every tight row, redundant ones too, and the primal side
@@ -507,16 +520,17 @@ def test_count_path_eliminates_once_per_simple_vertex(monkeypatch):
     assert all(n > d for n, d in calls)
 
 
-@pytest.mark.parametrize(
-    "triple, value, leaves",
-    [
-        (((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45)), 557744, 364),
-        (((935, 639, 283, 75, 48), (921, 683, 386, 136, 21), (1529, 1142, 743, 488, 225)),
-         1303088213330, 394),
-        (((859647, 444276, 283294, 33686, 24714), (482907, 437967, 280801, 79229, 26997),
-          (1120207, 699019, 624861, 351784, 157647)), 11711220003870071391294871475, 316),
-    ],
-)
+# three paper rows with weights about 1e2, 1e3 and 1e6: (triple, value, leaves)
+LARGE_PAPER_ROWS = [
+    (((73, 58, 41, 21, 4), (77, 61, 46, 27, 1), (124, 117, 71, 52, 45)), 557744, 364),
+    (((935, 639, 283, 75, 48), (921, 683, 386, 136, 21), (1529, 1142, 743, 488, 225)),
+     1303088213330, 394),
+    (((859647, 444276, 283294, 33686, 24714), (482907, 437967, 280801, 79229, 26997),
+      (1120207, 699019, 624861, 351784, 157647)), 11711220003870071391294871475, 316),
+]
+
+
+@pytest.mark.parametrize("triple, value, leaves", LARGE_PAPER_ROWS)
 def test_paper_rows_leaf_counts(monkeypatch, triple, value, leaves):
     """The polar decompositions of three paper rows keep their number of leaves."""
     import hivecount.counting as counting
@@ -558,19 +572,17 @@ def _packed_inputs(d):
     )
 
 
-@given(st.integers(1, 12).flatmap(_packed_inputs), st.sampled_from((1, -1)))
-@example(([10**6] * 12, 10**6, [1] * 12, [0] * 12), 1)
-@example(([10**6] * 12, 10**6, [-1, 1] * 6, [7] * 12), -1)
-@example(([1] * 3, 1, [1, 1, -1], [0, 1, 2]), 1)
-@settings(max_examples=200, deadline=None)
-def test_leaf_series_packed_matches_series_mul(inputs, sign):
-    """The denominator product packed into ints equals the _series_mul chain.
+# one-prime moduli and a product of two primes
+moduli = st.sampled_from((_PRIMES[0], _PRIMES[1], _PRIMES[3], _PRIMES[0] * _PRIMES[1]))
 
-    The leaf's rays are e_i times the unit vectors, so direction (1, ..., 1)
-    meets ray i at +-e_i; _leaf_series reads only its sign, rays and lowest
-    point, which at q = 1 is the apex.
+
+def _axis_total(sign, es, signs, a, emax, modulus, copies=1):
+    """_series_total of copies of one closed leaf at the integral apex a, ray i s_i e_i times unit i.
+
+    Direction (1, ..., 1) meets ray i at s_i e_i.  e_of also holds a ray that
+    meets it at emax, which sets the packing width.  Returns the total and
+    the oracle's exact series of one leaf, reduced mod modulus.
     """
-    es, emax, signs, a = inputs
     d = len(es)
     rays = tuple(
         tuple(s * e if j == i else 0 for j in range(d)) for i, (e, s) in enumerate(zip(es, signs))
@@ -578,67 +590,62 @@ def test_leaf_series_packed_matches_series_mul(inputs, sign):
     unit = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     leaf = SignedUnimodularCone(sign, tuple(a), rays, (False,) * d, unit)
     direction = (1,) * d
-    expected = leaf_series_unpacked(leaf, a, 1, direction, d)
-    e_of = {u: dot(direction, u) for u in rays}
-    h_of = {}
-    assert _leaf_series(leaf, a, 1, direction, e_of, h_of, d, emax) == expected
-    # a second leaf reads the packed series cached by the first
-    assert _leaf_series(leaf, a, 1, direction, e_of, h_of, d, emax) == expected
+    e_of = {u: dot(direction, u) for u in rays + ((emax,) + (0,) * (d - 1),)}
+    vertex_leaves = [(tuple(a) + (1,), [leaf] * copies)]
+    exact = exact_total([(tuple(a) + (1,), [leaf])], direction, d)
+    return _series_total(vertex_leaves, direction, e_of, d, modulus), reduce_mod(exact, modulus)
 
 
-scales = st.one_of(
-    st.integers(1, 10**6),
-    st.sampled_from((2, 3, 4, 6, 12, 35, 2**64, 3**40 * 5)),
-)
-
-
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.dictionaries(
-            scales,
-            st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n),
-            min_size=1,
-            max_size=41,
-        )
-    )
-)
-@example({7: [3, -2]})
-@example({2: [1, 0], 3: [1, 1], 6: [-5, 1]})
-@example({4: [1], 6: [1], 9: [1], 35: [2], 2**64: [-1]})
+@given(st.integers(1, 12).flatmap(_packed_inputs), st.sampled_from((1, -1)), moduli)
+@example(([10**6] * 12, 10**6, [1] * 12, [0] * 12), 1, _PRIMES[0])
+@example(([10**6] * 12, 10**6, [-1, 1] * 6, [7] * 12), -1, _PRIMES[0] * _PRIMES[1])
+@example(([1] * 3, 1, [1, 1, -1], [0, 1, 2]), 1, _PRIMES[0])
 @settings(max_examples=200, deadline=None)
-def test_pairwise_total_matches_per_scale_fractions(sums):
-    """One scale, odd and even scale counts, shared and coprime scales."""
-    scale, acc = _pairwise_total(sums)
-    assert [Fraction(c, scale) for c in acc] == per_scale_total(sums)
+def test_leaf_series_packed_matches_series_mul(inputs, sign, modulus):
+    """The packed denominator product, solved mod M, is the exact _series_mul chain's series mod M.
+
+    A second copy of the leaf reads the packed series cached by the first
+    and adds the same terms again.
+    """
+    es, emax, signs, a = inputs
+    total, expected = _axis_total(sign, es, signs, a, emax, modulus)
+    assert total == expected
+    twice, _ = _axis_total(sign, es, signs, a, emax, modulus, copies=2)
+    assert twice == [2 * c % modulus for c in expected]
 
 
 @given(
-    st.integers(0, 12).flatmap(
+    st.integers(1, 12).flatmap(
         lambda deg: st.tuples(
             st.just(deg),
             st.integers(-(10**7), 10**7),
             st.integers(1, 10**6).flatmap(
-                lambda emax: st.lists(st.integers(1, emax), min_size=max(deg, 1), max_size=max(deg, 1))
+                lambda emax: st.lists(st.integers(1, emax), min_size=deg, max_size=deg)
             ),
         )
-    )
+    ),
+    moduli,
 )
-@example((12, -(10**7), [10**6] * 12))
-@example((12, 10**7, [1] * 12))
-@example((0, -3, [5]))
+@example((12, -(10**7), [10**6] * 12), _PRIMES[0])
+@example((12, 10**7, [1] * 12), _PRIMES[1])
+@example((1, -3, [5]), _PRIMES[0])
 @settings(max_examples=200, deadline=None)
-def test_series_quotient_matches_scaled_inverse(data):
-    """One triangular solve equals the binomial series times the scaled inverse.
+def test_series_quotient_matches_scaled_inverse(data, modulus):
+    """The solve mod M is the binomial series times the exact scaled inverse, reduced mod M.
 
-    The denominator is the product of deg series ((1+s)^e - 1)/s with e at
-    most emax, as one leaf's; the binomial exponent may be negative.
+    The denominator is the product of deg series ((1+s)^e - 1)/s, as one
+    leaf's with rays e times unit vectors; the binomial exponent may be
+    negative.
     """
     deg, exponent, es = data
     denom = [1] + [0] * deg
     for e in es:
         denom = _series_mul(denom, [comb(e, k + 1) for k in range(deg + 1)], deg)
-    b = _binomial_series(exponent, deg)
-    assert _series_quotient(b, denom, deg) == series_quotient_by_inverse(b, denom, deg)
+    quotient = series_quotient_by_inverse(_binomial_series(exponent, deg), denom, deg)
+    scale = pow(denom[0] ** (deg + 1), -1, modulus)
+    expected = [(-1) ** deg * c * scale % modulus for c in quotient]
+    a = [exponent] + [0] * (deg - 1)
+    assert _axis_total(1, es, [1] * deg, a, max(es), modulus)[0] == expected
 
 
 def _primal_leaves(ray, gens, edges):
@@ -1009,6 +1016,66 @@ def test_reduced_chart_is_a_fixed_point(poly):
         assert implicit == 0
 
 
+def _series_calls(poly):
+    """count_barvinok's value, with the arguments and result of each _series_total call it makes."""
+    import hivecount.counting as counting
+
+    real = counting._series_total
+    seen = []
+
+    def spy(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_series_total", spy)
+        value = count_barvinok(poly).value
+    return value, seen
+
+
+@given(st.one_of(cone_polytopes(), hive_polytopes))
+@example(CONE_EXAMPLES[2])  # vertices (9/4, 0) and (0, 13/9): q > 1
+@example(hive_hrep(make_triple((4, 2, 1), (3, 2), (5, 4, 2, 1))))
+@settings(max_examples=100, deadline=None)
+def test_modular_sum_matches_exact_per_scale_sum(poly):
+    """The leaves summed mod M give the exact per-scale Fraction sum mod M, and the count.
+
+    M exceeds the box bound, which bounds the count.
+    """
+    expected = count_naive(poly).value
+    value, seen = _series_calls(poly)
+    assert value == expected
+    if not seen:
+        return
+    [((vertex_leaves, direction, _, deg, modulus), total)] = seen
+    assert total == reduce_mod(exact_total(vertex_leaves, direction, deg), modulus)
+    assert total == [0] * deg + [expected]
+    _, vertices = _reduce(poly)
+    assert expected <= _box_bound(vertices) < modulus
+
+
+def test_modulus_skips_primes_at_most_the_bound_or_some_e(monkeypatch):
+    """The square [0, 2]^2 has box bound 9, and under the direction (11, 13) |e| is 11 or 13.
+
+    Of the listed primes 7, 11, 13 and 17, 7 is below the bound and 11 and 13
+    divide some |e|, so the count sums mod 17.  The square [0, 20]^2 has bound
+    441, above every listed prime, so it sums mod the product 17 * 19 * 23 of
+    those above 13; the product 17 * 19 alone does not exceed the bound.
+    """
+    import hivecount.counting as counting
+
+    monkeypatch.setattr(counting, "_specialization_direction", lambda rays, dim, seed: (11, 13))
+    monkeypatch.setattr(counting, "_PRIMES", (7, 11, 13, 17))
+    value, seen = _series_calls(box_poly([(0, 2), (0, 2)]))
+    assert value == 9 and [args[-1] for args, _ in seen] == [17]
+    monkeypatch.setattr(counting, "_PRIMES", (7, 17, 19, 23))
+    value, seen = _series_calls(box_poly([(0, 20), (0, 20)]))
+    assert value == 441 and [args[-1] for args, _ in seen] == [23 * 19 * 17]
+    monkeypatch.setattr(counting, "_PRIMES", (7, 17, 19))
+    with pytest.raises(InvariantError, match="box bound 441"):
+        count_barvinok(box_poly([(0, 20), (0, 20)]))
+
+
 def _no_short_basis(cols):
     """A stand-in for lll_reduce on the adjugate columns cols: |D| e_1, ..., |D| e_d.
 
@@ -1109,6 +1176,77 @@ def test_fallback_direction_counts_paper_rows(monkeypatch, row):
     assert lr_coefficient(make_triple(*triple)) == value
     # every ray entry of these charts is at most 2 in size, so b = 5
     assert directions == [(1, 5, 25, 125, 625, 3125)]
+
+
+@st.composite
+def small_det_cells(draw):
+    """Square int matrices of determinant +-2 or +-3, as cells of the recursion have.
+
+    diag(1, ..., D, ..., 1) under random elementary row and column operations.
+    """
+    d = draw(st.integers(2, 6))
+    D = draw(st.sampled_from((2, 3, -2, -3)))
+    k = draw(st.integers(0, d - 1))
+    m = [[D if i == j == k else int(i == j) for j in range(d)] for i in range(d)]
+    index = st.integers(0, d - 1)
+    for on_rows, i, j, c in draw(st.lists(st.tuples(st.booleans(), index, index, st.integers(-4, 4)),
+                                          max_size=5 * d)):
+        if i == j:
+            continue
+        if on_rows:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[i] += c * row[j]
+    return m
+
+
+@given(small_det_cells())
+@example([[1, 0], [1, 2]])
+@example([[1, 1, 1], [0, 3, 1], [0, 0, 1]])
+@settings(max_examples=200, deadline=None)
+def test_small_determinant_short_vector_matches_lll(m):
+    """For |D| <= 3 the reduced adjugate column and LLL's shortest row have one zero pattern.
+
+    Both are nonzero and in the lattice L of the adjugate's columns (m v / D
+    is integral, since m / D inverts the adjugate), with sup-norm below |D|;
+    the column has sup-norm 1.
+    """
+    from hivecount.linalg import lll_reduce
+
+    D = det(m)
+    adj = adjugate_cofactor(m)
+    cols = [[row[j] for row in adj] for j in range(len(adj))]
+    shortest = min(lll_reduce(cols), key=lambda v: max(map(abs, v)))
+    closed = _short_vector(adj, abs(D))
+    for v in (shortest, closed):
+        assert any(v) and max(map(abs, v)) < abs(D)
+        assert all(dot(row, v) % D == 0 for row in m)
+    assert max(map(abs, closed)) == 1
+    assert [x == 0 for x in shortest] == [x == 0 for x in closed]
+
+
+def test_large_paper_rows_take_no_lll(monkeypatch):
+    """The 46 non-unimodular polar cells of the three large paper rows all have |D| = 2."""
+    import hivecount.counting as counting
+
+    real_lll, real_short = counting.lll_reduce, counting._short_vector
+    lll_calls, targets = [], []
+
+    def lll_spy(cols):
+        lll_calls.append(cols)
+        return real_lll(cols)
+
+    def short_spy(adj, target):
+        targets.append(target)
+        return real_short(adj, target)
+
+    monkeypatch.setattr(counting, "lll_reduce", lll_spy)
+    monkeypatch.setattr(counting, "_short_vector", short_spy)
+    for triple, value, _ in LARGE_PAPER_ROWS:
+        assert lr_coefficient(make_triple(*triple)) == value
+    assert lll_calls == []
+    assert targets == [2] * 46
 
 
 def test_count_naive_builds_one_chart(monkeypatch):

@@ -132,6 +132,18 @@ def test_kostka_rejects_bad_input():
     assert kostka((2, 1), (1, 1), via=DIRECT) == 0  # size mismatch
 
 
+@pytest.mark.parametrize("via", [DIRECT, HIVE])
+def test_kostka_rejects_non_integral_parts(via):
+    # int() would truncate each of these to an input whose answer is 1
+    with pytest.raises(WeightError, match="2.7"):
+        kostka((2.7, 1), (1.5, 2), via=via)
+    with pytest.raises(WeightError, match="1.5"):
+        kostka((3, 1), (1.5, 2.5), via=via)
+    with pytest.raises(WeightError, match="2.5"):
+        lr_tableau_count((2.5, 1), (1,), (3, 1))
+    assert kostka((2.0, 1), (1, True, 1.0), via=via) == 2
+
+
 small_shapes = (
     st.lists(st.integers(0, 8), min_size=1, max_size=4)
     .map(lambda xs: tuple(sorted(xs, reverse=True)))

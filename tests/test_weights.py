@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hivecount import WeightError, WeightTriple, kostka_to_lr, make_triple, parse_weight
 from hivecount.weights import (
     dilate,
+    nonnegative_parts,
     dilate_triple,
     nonzero_length,
     parse_parts,
@@ -30,6 +33,18 @@ def test_validate_rejects_increase():
 def test_validate_rejects_negative():
     with pytest.raises(WeightError):
         validate_weight((2, -1))
+
+
+def test_non_integral_parts_are_rejected():
+    # int() would truncate the triple to c_{(2,1),(1)}^{(3,1)} = 1
+    with pytest.raises(WeightError, match="2.5"):
+        make_triple((2.5, 1), (1.9,), (3, 1.2))
+    with pytest.raises(WeightError, match="1.9"):
+        validate_weight((1.9,))
+    with pytest.raises(WeightError, match="0.5"):
+        kostka_to_lr((2, 1), (2.5, 0.5))
+    assert make_triple((2.0, 1), (1,), (3, 1)).lam == (2, 1, 0)
+    assert nonnegative_parts((3, Fraction(4, 2), True)) == (3, 2, 1)
 
 
 def test_parse_and_format_round_trip():
