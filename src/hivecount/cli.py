@@ -101,9 +101,7 @@ def _lambda_mu(args, parse_mu):
 
 def cmd_count(args):
     def value(t):
-        return counting.lr_coefficient(
-            t, method=args.method, seed=args.seed, threads=args.threads, naive_cap=args.naive_cap
-        )
+        return counting.lr_coefficient(t, method=args.method, naive_cap=args.naive_cap)
 
     return _batch(args, "count", args.method, value, "value", str)
 
@@ -139,9 +137,7 @@ def cmd_klimyk(args):
 def cmd_stretch(args):
     triple = _triple_from_args(args)
     started = time.perf_counter()
-    report = stretch.conjecture2_report(
-        triple, n_max=args.n_max, seed=args.seed, threads=args.threads
-    )
+    report = stretch.conjecture2_report(triple, n_max=args.n_max)
     body = stretch.report_to_json(report)
     return _emit(
         args, "stretch", "barvinok", triple.rank, started, {"report": body},

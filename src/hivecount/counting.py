@@ -4,7 +4,8 @@ The naive counter recurses on coordinate bounds and exists as an oracle.  The
 production path follows Barvinok: chart away equalities, enumerate vertices,
 decompose the cone at each vertex into signed unimodular cones, and read the
 count off the short rational generating functions by specializing along a
-generic direction, summed modulo a prime above a bound on the count.
+direction orthogonal to no ray, set coordinate by coordinate with no seed,
+summed modulo a prime above a bound on the count.
 
 A cone can be decomposed on either of two sides.  decompose_cone works on
 the primal side: it triangulates the tangent cone's rays and decomposes each
@@ -27,7 +28,6 @@ dependence (De Loera, Rambau and Santos 2010).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb, floor, prod
@@ -550,11 +550,12 @@ def _series_total(vertex_leaves, direction, e_of, deg, modulus):
     """Coefficients 0..deg, mod modulus, of the leaves' summed series at (1+s)^direction.
 
     vertex_leaves pairs each vertex's ray (a, q) with its leaves of deg rays,
-    e_of maps each ray u to e = direction . u, none zero, and modulus is prime
-    to every |e| and to 1..deg.  With h_e = ((1+s)^e - 1) / s, s^deg times a
-    leaf's term is +-(1+s)^n / prod h_|e|, where n is direction . p plus the
-    |e| of each negative e, for p the lowest lattice point (a for a closed
-    leaf at an integral vertex); coefficient deg of the sum is the count.
+    e_of maps each ray u to e = direction . u, none zero (the direction is
+    orthogonal to no ray by construction), and modulus is prime to every |e|
+    and to 1..deg.  With h_e = ((1+s)^e - 1) / s, s^deg times a leaf's term
+    is +-(1+s)^n / prod h_|e|, where n is direction . p plus the |e| of each
+    negative e, for p the lowest lattice point (a for a closed leaf at an
+    integral vertex); coefficient deg of the sum is the count.
     h_of holds h_e packed, coefficient k at bit width * k: a product of m <=
     deg of them is at most (1+s)^E / s^m coefficientwise, E = deg * emax, so
     it packs exactly while C(E, j) < 2^width for j <= 2 deg (Kronecker
@@ -604,21 +605,25 @@ def _series_total(vertex_leaves, direction, e_of, deg, modulus):
     return [c % modulus for c in total]
 
 
-def _specialization_direction(all_rays, dim, seed):
-    """An int direction orthogonal to none of the rays.
+def _specialization_direction(all_rays, dim):
+    """An int direction v orthogonal to none of the rays, set coordinate by coordinate.
 
-    Up to 50 seeded draws of growing range come first.  The fallback
-    (1, b, b^2, ...) with b above twice every |ray entry| always works: the
-    base-b digits of a nonzero ray, each below b/2 in size, cannot cancel.
+    Once v_0..v_{j-1} are set, each ray whose last nonzero entry is u_j rules
+    out at most one value of v_j; v_j is the first of 0, 1, -1, 2, -2, ... that
+    none rules out.  So |v_j| is at most half their number, rounded up, and the
+    order of the rays does not matter.
     """
-    for attempt in range(50):
-        rng = random.Random(((seed + 1) << 20) ^ attempt)
-        bound = 8 + 4 * attempt
-        cand = tuple(rng.randint(-bound, bound) for _ in range(dim))
-        if all(dot(cand, u) for u in all_rays):
-            return cand
-    base = 2 * max(abs(c) for u in all_rays for c in u) + 1
-    return tuple(base**i for i in range(dim))
+    by_last = [[] for _ in range(dim)]
+    for u in all_rays:
+        by_last[max(j for j, c in enumerate(u) if c)].append(u)
+    v = []
+    for j, rays in enumerate(by_last):
+        ruled_out = {-p // u[j] for u in rays if (p := dot(v, u)) % u[j] == 0}
+        x = 0
+        while x in ruled_out:
+            x = -x if x > 0 else 1 - x
+        v.append(x)
+    return tuple(v)
 
 
 def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> CountResult:
@@ -627,9 +632,9 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     The leaves' series are summed mod M > B, the box bound of the vertices,
     with M prime to every denominator, so the sum mod M is the count N in
     [0, B].  Coefficients below degree d must vanish mod M, and N <= B.
-    seed picks the specialization direction and never changes the count;
-    threads is accepted for compatibility and has no effect, since
-    pure-Python work does not run in parallel under the GIL.
+    seed and threads are accepted for compatibility and have no effect: the
+    specialization direction is deterministic, and pure-Python work does not
+    run in parallel under the GIL.
     """
     reduced = _reduce(poly)
     if reduced is None:
@@ -653,7 +658,7 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
         edges = _vertex_edges(vertices, i, rows, on, cache) if len(rows) <= d + 1 else None
         vertex_leaves.append((ray, _vertex_leaves(ray, [gens[k] for k in rows], edges)))
     ray_set = {u for _, leaves in vertex_leaves for leaf in leaves for u in leaf.rays}
-    direction = _specialization_direction(ray_set, d, seed)
+    direction = _specialization_direction(ray_set, d)
     e_of = {u: dot(direction, u) for u in ray_set}
     bound = _box_bound(vertices)
     modulus = _modulus(bound, max(d, *map(abs, e_of.values())))
@@ -665,11 +670,9 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     return CountResult(total[d], BARVINOK)
 
 
-def count_dilation(
-    poly: HRepPolytope, n: int, seed: int = 0, threads: int = 1
-) -> CountResult:
-    """Lattice points of the n-th dilation, counted by scaling right-hand sides."""
-    if not isinstance(n, int) or n < 1:
+def count_dilation(poly: HRepPolytope, n: int, seed: int = 0, threads: int = 1) -> CountResult:
+    """Lattice points of the n-th dilation by scaling right-hand sides; seed and threads do nothing."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("dilation factor must be a positive integer")
     scaled = HRepPolytope(
         rows=poly.rows,
@@ -677,7 +680,7 @@ def count_dilation(
         eq_rows=poly.eq_rows,
         eq_rhs=tuple(n * b for b in poly.eq_rhs),
     )
-    return count_barvinok(scaled, seed=seed, threads=threads)
+    return count_barvinok(scaled)
 
 
 def hive_hrep(triple: WeightTriple) -> HRepPolytope:
@@ -701,7 +704,7 @@ def lr_coefficient(
     """Tensor-product multiplicity of the triple by lattice-point counting.
 
     Size-inconsistent triples have coefficient zero and are answered without
-    building a polytope.
+    building a polytope.  seed and threads have no effect, as in count_barvinok.
     """
     a, b, c = triple.sizes
     if c != a + b:
@@ -710,10 +713,10 @@ def lr_coefficient(
     if method == NAIVE:
         return count_naive(poly, cap=naive_cap).value
     if method == BARVINOK:
-        return count_barvinok(poly, seed=seed, threads=threads).value
+        return count_barvinok(poly).value
     if method == "both":
         naive = count_naive(poly, cap=naive_cap).value
-        barv = count_barvinok(poly, seed=seed, threads=threads).value
+        barv = count_barvinok(poly).value
         if naive != barv:
             raise CountMismatchError(f"naive={naive} disagrees with barvinok={barv}")
         return barv

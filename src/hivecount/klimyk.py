@@ -9,10 +9,10 @@ full decomposition of V_lambda (x) V_mu from the weight system of one factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .counting import lr_coefficient
-from .errors import CapExceededError, InvariantError
+from .errors import CapExceededError, InvariantError, WeightError
 from .weights import (
     kostka_to_lr,
     make_triple,
@@ -91,16 +91,17 @@ def dominant_conjugate(w):
 
     Returns (sorted_decreasing, sign) with sign the parity of the minimal
     permutation, or ZERO when a coordinate repeats (nontrivial stabilizer, so
-    the signed orbit sum cancels).
+    the signed orbit sum cancels).  Entries may be negative; one that is not
+    an integer raises WeightError.
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(w)
+    for x in w:
+        if x != int(x):
+            raise WeightError(f"part {x!r} of {w} is not an integer")
+    w = tuple(map(int, w))
     if len(set(w)) < len(w):
         return ZERO
-    inversions = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] < w[j]:
-                inversions += 1
+    inversions = sum(a < b for a, b in combinations(w, 2))
     dom = tuple(sorted(w, reverse=True))
     return dom, (-1 if inversions % 2 else 1)
 

@@ -116,11 +116,11 @@ def fit_quasi_polynomial(samples, degree_bound: int, period_candidates=(1, 2)):
 
 
 def stretched_counts(triple: WeightTriple, n_max: int, seed: int = 0, threads: int = 1):
-    """Exact counts [(n, e(n))] for n = 1..n_max by scaling the hive rhs."""
-    if n_max < 1:
+    """Exact counts [(n, e(n))], n = 1..n_max, by scaling the hive rhs; seed and threads do nothing."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     poly = hive_hrep(triple)
-    return [(n, count_dilation(poly, n, seed=seed, threads=threads).value) for n in range(1, n_max + 1)]
+    return [(n, count_dilation(poly, n).value) for n in range(1, n_max + 1)]
 
 
 def polytope_degree(triple: WeightTriple) -> int:
@@ -130,20 +130,18 @@ def polytope_degree(triple: WeightTriple) -> int:
 
 
 def conjecture2_report(
-    triple: WeightTriple,
-    n_max: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
+    triple: WeightTriple, n_max: int | None = None, seed: int = 0, threads: int = 1
 ) -> StretchReport:
     """Fit e(n) and record whether every constituent coefficient is >= 0.
 
     Nonnegativity is an observation in the report, never an assertion; a
     negative coefficient would be a finding worth publishing, not a crash.
+    seed and threads have no effect.
     """
     degree = polytope_degree(triple)
     if n_max is None:
         n_max = degree + 1 + VALIDATION_MARGIN
-    samples = stretched_counts(triple, n_max, seed=seed, threads=threads)
+    samples = stretched_counts(triple, n_max)
     quasi = fit_quasi_polynomial(samples, degree)
     nonneg = all(c >= 0 for coeffs in quasi.constituents for c in coeffs)
     return StretchReport(

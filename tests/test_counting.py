@@ -4,7 +4,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -330,14 +329,25 @@ def test_count_dilation_scales_box():
     poly = box_poly([(0, 1), (0, 1)])
     for n in (1, 2, 3, 7):
         assert count_dilation(poly, n).value == (n + 1) ** 2
-    # a float or string factor is rejected too, not failed on in the chart
-    # code (2.0) or counted (1.5)
-    for bad in (0, 2.0, 1.5, "2"):
+    # a float, string or bool factor is rejected too, not failed on in the
+    # chart code (2.0) or counted (1.5, and True as 1)
+    for bad in (0, 2.0, 1.5, "2", True):
         with pytest.raises(ValueError, match="dilation factor must be a positive integer"):
             count_dilation(poly, bad)
 
 
-def test_determinism_across_seeds_and_threads():
+def test_determinism_across_seeds_and_threads(monkeypatch):
+    """seed and threads do not reach the count: one direction serves every pair."""
+    import hivecount.counting as counting
+
+    real = counting._specialization_direction
+    directions = []
+
+    def spy(rays, dim):
+        directions.append(real(rays, dim))
+        return directions[-1]
+
+    monkeypatch.setattr(counting, "_specialization_direction", spy)
     t = make_triple((9, 7, 3, 0, 0), (9, 9, 3, 2, 0), (10, 9, 9, 8, 6))
     values = {
         lr_coefficient(t, seed=s, threads=th)
@@ -345,6 +355,7 @@ def test_determinism_across_seeds_and_threads():
         for th in (1, 2)
     }
     assert values == {2}
+    assert len(directions) == 6 and len(set(directions)) == 1
 
 
 def test_hive_hrep_shape():
@@ -1064,7 +1075,7 @@ def test_modulus_skips_primes_at_most_the_bound_or_some_e(monkeypatch):
     """
     import hivecount.counting as counting
 
-    monkeypatch.setattr(counting, "_specialization_direction", lambda rays, dim, seed: (11, 13))
+    monkeypatch.setattr(counting, "_specialization_direction", lambda rays, dim: (11, 13))
     monkeypatch.setattr(counting, "_PRIMES", (7, 11, 13, 17))
     value, seen = _series_calls(box_poly([(0, 2), (0, 2)]))
     assert value == 9 and [args[-1] for args, _ in seen] == [17]
@@ -1142,40 +1153,43 @@ def test_short_vector_fallback_is_reached():
     assert returned == [(1, 1)]
 
 
-# a stand-in for the random module whose every draw is 0, so that every
-# seeded candidate of _specialization_direction is the zero vector
-_ZERO_DRAWS = SimpleNamespace(Random=lambda seed: SimpleNamespace(randint=lambda lo, hi: 0))
+@given(
+    st.integers(1, 8).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple).filter(any),
+            min_size=1,
+            max_size=300,
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@example([u for u in itertools.product((-1, 0, 1), repeat=4) if any(u)], random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_specialization_direction_is_orthogonal_to_no_ray(rays, rng):
+    """The direction meets every ray, ignores the rays' order, and keeps |v_j| <= ceil(m_j / 2).
 
-
-@with_cone_examples
-@settings(max_examples=60, deadline=None)
-def test_fallback_direction_counts_exactly(poly):
-    """With every seeded draw rejected, the direction (1, b, b^2, ...) still counts exactly."""
+    m_j is the number of rays whose last nonzero entry is j.
+    """
     import hivecount.counting as counting
 
-    expected = count_naive(poly).value
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "random", _ZERO_DRAWS)
-        assert count_barvinok(poly).value == expected
+    dim = len(rays[0])
+    v = counting._specialization_direction(rays, dim)
+    assert len(v) == dim and all(dot(v, u) for u in rays)
+    shuffled = list(rays)
+    rng.shuffle(shuffled)
+    assert counting._specialization_direction(shuffled, dim) == v
+    m = Counter(max(j for j, c in enumerate(u) if c) for u in set(rays))
+    assert all(abs(x) <= -(-m[j] // 2) for j, x in enumerate(v))
 
 
-@pytest.mark.parametrize("row", [1, 7], ids=["453", "557744"])
-def test_fallback_direction_counts_paper_rows(monkeypatch, row):
-    import hivecount.counting as counting
+def test_large_paper_rows_take_short_directions():
+    """The three large paper rows count right with every |direction . ray| below 64.
 
-    real = counting._specialization_direction
-    directions = []
-
-    def spy(*args):
-        directions.append(real(*args))
-        return directions[-1]
-
-    monkeypatch.setattr(counting, "random", _ZERO_DRAWS)
-    monkeypatch.setattr(counting, "_specialization_direction", spy)
-    triple, value = SMALL_WEIGHT_ROWS[row]
-    assert lr_coefficient(make_triple(*triple)) == value
-    # every ray entry of these charts is at most 2 in size, so b = 5
-    assert directions == [(1, 5, 25, 125, 625, 3125)]
+    The seeded draws gave 182 and 364 on two of them.
+    """
+    for triple, value, _ in LARGE_PAPER_ROWS:
+        count, [((_, _, e_of, _, _), _)] = _series_calls(hive_hrep(make_triple(*triple)))
+        assert count == value and max(map(abs, e_of.values())) < 64
 
 
 @st.composite

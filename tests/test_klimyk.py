@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,17 @@ def test_dominant_conjugate_examples():
     assert dominant_conjugate((1, 2, 3)) == ((3, 2, 1), -1)
     assert dominant_conjugate((3, 2, 1)) == ((3, 2, 1), 1)
     assert dominant_conjugate((1, 1)) is ZERO or dominant_conjugate((1, 1)) == ZERO
+
+
+def test_dominant_conjugate_rejects_non_integral_entries():
+    # int() truncated each of these to a weight whose conjugate is ((2, 1, ...), 1)
+    with pytest.raises(WeightError, match="2.5"):
+        dominant_conjugate((2.5, 1))
+    with pytest.raises(WeightError, match="Fraction"):
+        dominant_conjugate((Fraction(5, 2), 1, 0))
+    # negative and integral-valued entries are any ambient weight's
+    assert dominant_conjugate((Fraction(-4, 2), 3.0, 0)) == ((3, 0, -2), 1)
+    assert dominant_conjugate((0, 3, -1)) == ((3, 0, -1), -1)
 
 
 def test_dominant_conjugate_sign_parity():

@@ -77,6 +77,10 @@ def test_stretched_counts_simple_triple():
     assert counts == [(1, 1), (2, 1), (3, 1), (4, 1)]
     with pytest.raises(ValueError):
         stretched_counts(t, 0)
+    # a bool n_max was counted as 1, a float or string failed in range()
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            stretched_counts(t, bad)
 
 
 def test_polytope_degree_zero_dimensional():
