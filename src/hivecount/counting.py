@@ -119,33 +119,28 @@ def _chart_rays(rows, rhs, dim):
 
 
 def _pinned_by_pairs(rows, rhs):
-    """(rows, rhs) of the equalities p t = c that opposite rows pin; None without lattice points.
+    """(rows, rhs) of the equalities a t = b that opposite rows pin; None without lattice points.
 
-    Rows a t <= b and a' t <= b' with a / g = -a' / g' = p, g and g' the gcds
-    of a and a', hold p t in [-b' / g', b / g].  An empty range leaves the
-    polyhedron empty.  A range of one value c pins p t = c, one equality row
-    per pair, and since p is primitive that has lattice points only when c
-    is an integer.  Rows must have one row per direction, as dedupe_rows
-    leaves them.
+    Rows a t <= b and -a t <= b' hold a t in [-b', b]: empty when b + b' < 0,
+    and when b + b' = 0 the pin a t = b, one row per pair, emitted at its
+    second row.  Rows are in dedupe_rows' normal form, as every chart's are,
+    so a is primitive and the pin has lattice points only when b is an integer.
     """
     bound = {}
     eq_rows, eq_rhs = [], []
     for a, b in zip(rows, rhs):
-        g = vec_gcd(a)
-        p = a if g == 1 else tuple([v // g for v in a])
-        opposite = bound.get(tuple([-v for v in p]))
-        if opposite is None:
-            bound[p] = b, g
+        b2 = bound.get(tuple([-v for v in a]))
+        if b2 is None:
+            bound[a] = b
             continue
-        b2, g2 = opposite
-        width = b * g2 + b2 * g  # g g' (b / g + b' / g')
+        width = b + b2
         if width < 0:
             return None
         if width == 0:
-            c, rest = divmod(b, g)
+            c, rest = divmod(b, 1)
             if rest:
                 return None
-            eq_rows.append(p)
+            eq_rows.append(a)
             eq_rhs.append(c)
     return eq_rows, eq_rhs
 
@@ -372,10 +367,10 @@ def _facet_mask(on):
     """Bitmask of the facet rows, read off each row's incidence bitset on[j] over the vertices.
 
     With the polytope bounded and full-dimensional and no two rows parallel,
-    row j is a facet unless the vertices tight on it are all tight on some
-    other row: a facet is spanned by its vertices, and any other face lies in
-    a facet.  So a row tight at no vertex is never a facet.  The facets of the
-    tangent cone at a vertex are the facets through it.
+    as in every chart, row j is a facet unless the vertices tight on it are
+    all tight on some other row: a facet is spanned by its vertices, and any
+    other face lies in a facet.  So a row tight at no vertex is never a
+    facet.  The facets of the tangent cone at a vertex are the facets through it.
     """
     return sum(
         1 << j
@@ -643,7 +638,7 @@ def count_barvinok(poly: HRepPolytope, seed: int = 0, threads: int = 1) -> Count
     d = chart.dim
     if d == 0:
         return CountResult(1, BARVINOK)
-    gens = [primitive(a) for a in chart.rows]
+    gens = chart.rows
     on = incidence_bitsets([mask for _, mask in vertices], len(gens))
     facets = _facet_mask(on)
     vertex_leaves = []

@@ -43,6 +43,8 @@ def polytope_from_text(text: str) -> HRepPolytope:
     m, d1 = int(header[0]), int(header[1])
     if m < 0 or d1 < 1:
         raise ValueError(f"bad header values {m} {d1}")
+    if m == 0 and d1 > 1:
+        raise ValueError(f"header {m} {d1} declares dimension {d1 - 1} but no rows")
     if len(lines) < 1 + m:
         raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
     raw = []

@@ -239,7 +239,7 @@ class LatticeChart:
     origin and basis are in the coordinates of parent, the chart this one was
     cut from, or ambient when parent is None; only to_ambient follows the
     chain.  rows/rhs carry the inequality system rewritten in chart
-    coordinates, with constant rows already removed.
+    coordinates, in dedupe_rows' normal form: primitive, no two parallel.
     """
 
     origin: tuple
@@ -267,25 +267,26 @@ def _rewrite_rows(rows, rhs, origin, basis):
 
 
 def dedupe_rows(rows, rhs):
-    """Keep the tightest row of each parallel class; the one place zero rows are decided.
+    """Chart rows in their one normal form: primitive, one per direction, first seen first.
 
-    A zero row 0 <= b is dropped when b >= 0 and raises InfeasibleLatticeError otherwise.
+    a x <= b becomes (a / g) x <= b / g for g = gcd(a), b / g an int when g
+    divides b, and each direction keeps its least bound.  A zero row 0 <= b
+    is dropped when b >= 0 and raises InfeasibleLatticeError otherwise.
     """
     best = {}
     for a, b in zip(rows, rhs):
-        row = tuple(a)
-        g = vec_gcd(row)
+        g = vec_gcd(a)
         if g == 0:
             if b >= 0:
                 continue
             raise InfeasibleLatticeError(f"inequality reduces to 0 <= {b} on the equality locus")
-        key = row if g == 1 else tuple([v // g for v in row])
-        cur = best.get(key)
-        # b / g < cur_b / cur_g, with both gcds positive
-        if cur is None or b * cur[2] < cur[1] * g:
-            best[key] = (row, b, g)
-    kept = list(best.values())
-    return [a for a, _, _ in kept], [b for _, b, _ in kept]
+        if g > 1:
+            a = [v // g for v in a]
+            b = Fraction(b, g) if b % g else b // g
+        key = tuple(a)
+        if key not in best or b < best[key]:
+            best[key] = b
+    return list(best), list(best.values())
 
 
 def lattice_chart(poly: HRepPolytope) -> LatticeChart:
@@ -564,6 +565,7 @@ class VertexCone:
 def supporting_cone(rows, rhs, vertex) -> VertexCone:
     """Tangent cone {y : a y <= 0 for the rows tight at vertex} of {x : rows x <= rhs}.
 
+    Rows may be rational; _cone_row scales each tight one, keeping the cone.
     Raises ValueError when vertex is not a vertex: it violates a row, or the
     rows tight at it have rank below its dimension.
     """
@@ -576,7 +578,7 @@ def supporting_cone(rows, rhs, vertex) -> VertexCone:
         if slack < 0:
             raise ValueError(f"{vertex} violates the row {tuple(a)} <= {b}")
         if slack == 0:
-            tight.append(tuple(a))
+            tight.append(_cone_row(a))
     rays = _extreme_rays(tight, len(apex))
     if rays is None:
         raise ValueError(f"{vertex} is not a vertex: its tight rows have rank below {len(apex)}")

@@ -12,10 +12,15 @@ nonnegative combinations of tight rows that sum to the zero functional and
 imposed with restrict_chart before the next round.  assert_bounded then tests
 each +-unit vector for membership in the conic hull of the rows, 2 * dim small
 feasibility programs.  Together they cost about seven simplex runs per count.
+
+gcd_keyed_dedupe_rows and gcd_keyed_pinned_by_pairs are dedupe_rows and
+counting._pinned_by_pairs as they were before dedupe_rows put chart rows in
+primitive form: rows keep their common factors, and both key each row by its
+primitive direction and compare bounds b / g through its gcd g.
 """
 
 from hivecount.errors import InfeasibleLatticeError, InvariantError, UnboundedError
-from hivecount.linalg import dot, hermite_solve, identity
+from hivecount.linalg import dot, hermite_solve, identity, vec_gcd
 from hivecount.polyhedra import (
     OPTIMAL,
     LatticeChart,
@@ -110,3 +115,46 @@ def lp_reduce_bounded(poly):
     if chart is not None and chart.dim > 0:
         assert_bounded(chart.rows, chart.dim)
     return chart
+
+
+def gcd_keyed_dedupe_rows(rows, rhs):
+    """The tightest original row of each direction, with its original bound."""
+    best = {}
+    for a, b in zip(rows, rhs):
+        row = tuple(a)
+        g = vec_gcd(row)
+        if g == 0:
+            if b >= 0:
+                continue
+            raise InfeasibleLatticeError(f"inequality reduces to 0 <= {b} on the equality locus")
+        key = tuple([v // g for v in row])
+        cur = best.get(key)
+        # b / g < cur_b / cur_g, with both gcds positive
+        if cur is None or b * cur[2] < cur[1] * g:
+            best[key] = (row, b, g)
+    kept = list(best.values())
+    return [a for a, _, _ in kept], [b for _, b, _ in kept]
+
+
+def gcd_keyed_pinned_by_pairs(rows, rhs):
+    """(rows, rhs) of the equalities p t = c that opposite rows of gcd_keyed_dedupe_rows pin."""
+    bound = {}
+    eq_rows, eq_rhs = [], []
+    for a, b in zip(rows, rhs):
+        g = vec_gcd(a)
+        p = tuple([v // g for v in a])
+        opposite = bound.get(tuple([-v for v in p]))
+        if opposite is None:
+            bound[p] = b, g
+            continue
+        b2, g2 = opposite
+        width = b * g2 + b2 * g  # g g' (b / g + b' / g')
+        if width < 0:
+            return None
+        if width == 0:
+            c, rest = divmod(b, g)
+            if rest:
+                return None
+            eq_rows.append(p)
+            eq_rhs.append(c)
+    return eq_rows, eq_rhs

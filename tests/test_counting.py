@@ -1009,8 +1009,9 @@ hive_polytopes = st.builds(
 def test_reduced_chart_is_a_fixed_point(poly):
     """The chart _reduce returns leaves the loop nothing to impose.
 
-    No opposite rows meet on it, and above dimension 0 no row is tight at
-    every vertex, so it is full-dimensional.
+    Its rows are in dedupe_rows' normal form, no opposite rows meet on it,
+    and above dimension 0 no row is tight at every vertex, so it is
+    full-dimensional.
     """
     try:
         reduced = _reduce(poly)
@@ -1019,6 +1020,8 @@ def test_reduced_chart_is_a_fixed_point(poly):
     if reduced is None:
         return
     chart, vertices = reduced
+    assert all(vec_gcd(a) == 1 for a in chart.rows)
+    assert len(set(chart.rows)) == len(chart.rows)
     assert _pinned_by_pairs(chart.rows, chart.rhs) == ([], [])
     if chart.dim > 0:
         implicit = -1

@@ -72,6 +72,16 @@ def test_parse_errors():
         polytope_from_text("1 2\n0 1\nlinearityX 1 1\n")  # not the linearity keyword
     with pytest.raises(ValueError):
         polytope_from_text("2 2\n0 1\n0 -1\nlinearity 2 1 1\n")  # a row listed twice
+    with pytest.raises(ValueError, match="no rows"):
+        polytope_from_text("0 3\n")  # the dimension is read off the rows: a point, not Z^2
+
+
+def test_round_trip_without_rows():
+    empty = HRepPolytope(rows=(), rhs=())
+    assert polytope_to_text(empty) == "0 1\n"
+    back = polytope_from_text("0 1\n")
+    assert back == empty and back.dim == 0
+    assert count_barvinok(back).value == 1
 
 
 def test_file_round_trip(tmp_path):

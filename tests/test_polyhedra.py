@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,11 +10,11 @@ from _corpus import LARGE_WEIGHT_ROW, LARGE_WEIGHT_STRETCH, SMALL_WEIGHT_ROWS
 from _dd_oracle import scan_extreme_rays
 from _lll_oracle import rank as matrix_rank
 from _lp_oracle import fraction_simplex
-from _reduce_oracle import hnf_lattice_chart
+from _reduce_oracle import gcd_keyed_dedupe_rows, gcd_keyed_pinned_by_pairs, hnf_lattice_chart
 from _samplers import random_triple_corpus
 from _vertex_oracle import kernel_line, subset_supporting_cone, subset_vertices
 from hivecount import HRepPolytope, make_triple
-from hivecount.counting import _iter_chart_points, hive_hrep
+from hivecount.counting import _iter_chart_points, _pinned_by_pairs, hive_hrep
 from hivecount.errors import InfeasibleLatticeError
 from hivecount.linalg import dot, primitive
 from hivecount.polyhedra import (
@@ -181,6 +182,74 @@ def test_dedupe_rows():
         dedupe_rows([(1, 0), (0, 0)], [1, Fraction(-1, 2)])
 
 
+@st.composite
+def parallel_row_systems(draw):
+    """(rows, rhs) of up to 10 rows a x <= b over at most 3 directions u in dimension 1-3.
+
+    Each row is a = k u, for k one of -3..-1, 1..3 and u with entries in
+    [-2, 2], so common factors, duplicate and opposite rows, and zero rows
+    (from a zero u) all come up.  Its bound is b = k c + |k| s, for c an int
+    or half-integer in [-2, 2] drawn per direction and s, the row's slack
+    over the hyperplane u x = c, one of -1/2, 0, 1/2, 1, 3 with 0 thrice as
+    likely: opposite rows of slack 0 pin u x = c, at an integer or not, and
+    a negative slack makes them cross.  b is an int when integral and a
+    Fraction otherwise.
+    """
+    dim = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    centers = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=2))
+    dirs = draw(st.lists(st.tuples(entries, centers), min_size=1, max_size=3))
+    factors = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    slacks = st.sampled_from((Fraction(-1, 2), 0, 0, 0, Fraction(1, 2), 1, 3))
+    rows, rhs = [], []
+    for (u, c), k, s in draw(st.lists(st.tuples(st.sampled_from(dirs), factors, slacks), max_size=10)):
+        b = k * c + abs(k) * s
+        rows.append(tuple([k * v for v in u]))
+        rhs.append(int(b) if b.denominator == 1 else b)
+    return rows, rhs
+
+
+@given(parallel_row_systems())
+@example(([(2, 4), (1, 2), (-3, -6), (0, 0), (2, 4)], [3, 2, 1, 0, Fraction(1, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_dedupe_rows_normal_form(system):
+    """Primitive rows, one per direction in first-seen order, each with its direction's least b / g."""
+    rows, rhs = system
+    if any(b < 0 for a, b in zip(rows, rhs) if not any(a)):
+        with pytest.raises(InfeasibleLatticeError, match="reduces to 0 <= -"):
+            dedupe_rows(rows, rhs)
+        return
+    least = {}
+    for a, b in zip(rows, rhs):
+        g = gcd(*a)
+        if g:
+            p = tuple([v // g for v in a])
+            least[p] = min(least[p], Fraction(b, g)) if p in least else Fraction(b, g)
+    out_rows, out_rhs = dedupe_rows(rows, rhs)
+    assert all(gcd(*a) == 1 for a in out_rows)
+    assert len(set(out_rows)) == len(out_rows)
+    assert out_rows == list(least) and out_rhs == list(least.values())
+    # a bound is an int when integral: the rhs are ints or non-integral Fractions
+    assert all(isinstance(b, int) or b.denominator > 1 for b in out_rhs)
+
+
+@given(parallel_row_systems())
+@example(([(1, 0), (-2, 0), (0, 3)], [2, -4, 1]))  # x = 2 pinned
+@example(([(2, 0), (-2, 0)], [1, -1]))  # x = 1/2: no lattice point
+@example(([(1,), (-3,)], [1, -6]))  # 2 <= x <= 1: empty
+@settings(max_examples=300, deadline=None)
+def test_pinned_by_pairs_matches_gcd_keyed_oracle(system):
+    """On dedupe_rows' primitive rows, the pins the gcd-keyed version reads off the original rows."""
+    rows, rhs = system
+    try:
+        want = gcd_keyed_pinned_by_pairs(*gcd_keyed_dedupe_rows(rows, rhs))
+    except InfeasibleLatticeError:
+        with pytest.raises(InfeasibleLatticeError):
+            dedupe_rows(rows, rhs)
+        return
+    assert _pinned_by_pairs(*dedupe_rows(rows, rhs)) == want
+
+
 @given(st.integers(2, 3), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_enumerate_vertices_cube(d, hi):
@@ -305,6 +374,17 @@ def test_supporting_cone_rejects_non_vertices():
         supporting_cone(rows, rhs, (Fraction(0), Fraction(1, 2)))  # an edge midpoint
     with pytest.raises(ValueError, match="violates"):
         supporting_cone(rows, rhs, (5, 5))  # outside the square
+
+
+def test_supporting_cone_on_rational_rows():
+    # the box [0, 2] x [0, 1] with x <= 2 written as x / 2 <= 1, which
+    # enumerate_vertices accepts: the tangent cone at (2, 1) is the same
+    rows = [(Fraction(1, 2), 0), (0, 1), (-1, 0), (0, -1)]
+    rhs = [1, 1, 0, 0]
+    assert (2, 1) in enumerate_vertices(rows, rhs, 2)
+    cone = supporting_cone(rows, rhs, (2, 1))
+    assert cone.rays == ((-1, 0), (0, -1))
+    assert cone.rays == supporting_cone([(1, 0), (0, 1), (-1, 0), (0, -1)], [2, 1, 0, 0], (2, 1)).rays
 
 
 def test_supporting_cone_square_corner():
